@@ -2,6 +2,9 @@
 
 Layers, bottom up:
 
+- _bits: private packed-int kernels (pair masks, the eta swap, row
+  gather/scatter, the rank-one row update behind reflections and
+  transvections); other modules share helpers only through it.
 - f2core: bit-packed vectors/matrices over F2, ranks, affine solves,
   the form zoo (pair form, triangular form, basis change).
 - strings: signed Majorana/Pauli strings with exact i^k phases.
@@ -51,6 +54,8 @@ from .group import (
     find_householders,
     format_braid_word,
     group_order,
+    group_rows,
+    level_sizes,
     parse_braid_word,
     reduce_to_elementary,
     reflection_product,

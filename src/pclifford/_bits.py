@@ -1,0 +1,94 @@
+"""Packed-int kernels shared by every layer.
+
+The bit convention is the one of f2core: entry i of a length-n vector
+sits at bit position n - i, so the row of a packed matrix addressed by
+bit position p is rows[n - 1 - p].  Every set-bit loop of the package
+lives here, except the majorana cross term of strings._cross_lower.
+"""
+
+from __future__ import annotations
+
+
+def pair_mask(n: int) -> int:
+    """Ones at the low bit of each adjacent pair, entry indices 2, 4, ...
+
+    For odd n the pairs are counted from the least significant bit, so
+    the leading entry belongs to no pair.
+    """
+    return ((1 << (n - n % 2)) - 1) // 3
+
+
+def eta_swap(x: int, n: int) -> int:
+    """Swap the two entries of every pair: the Pauli form eta applied to x."""
+    lo = pair_mask(n)
+    return ((x >> 1) & lo) | ((x & lo) << 1)
+
+
+def symp_pauli(a: int, b: int, n: int) -> int:
+    """Pauli symplectic product a^T eta b on packed vectors."""
+    return (a & eta_swap(b, n)).bit_count() & 1
+
+
+def gather(rows, x: int, n: int) -> int:
+    """x^T R: the XOR of the rows selected by the set bits of x."""
+    acc = 0
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[n - 1 - p]
+        x &= x - 1
+    return acc
+
+
+def scatter(rows: list[int], x: int, n: int, value: int) -> None:
+    """XOR value into every row selected by the set bits of x, in place."""
+    while x:
+        p = (x & -x).bit_length() - 1
+        rows[n - 1 - p] ^= value
+        x &= x - 1
+
+
+def rank_one(rows: list[int], u: int, h: int, n: int) -> None:
+    """In-place left multiplication by I + h u^T on packed rows.
+
+    The reflection h_a is the pair (a, a); the transvection of h is the
+    pair (eta h, h).  Both loops are inlined: this runs once per group
+    level on the sampling hot path.
+    """
+    acc = 0
+    x = u
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[n - 1 - p]
+        x &= x - 1
+    if not acc:
+        return
+    while h:
+        p = (h & -h).bit_length() - 1
+        rows[n - 1 - p] ^= acc
+        h &= h - 1
+
+
+def top_bit(x: int) -> int:
+    return 1 << (x.bit_length() - 1)
+
+
+def householder_pair(v: int, w: int, n: int) -> tuple[int, int]:
+    """Even a, b with h_b h_a v = w (and also w -> v); b may be zero.
+
+    Callers guarantee p(v) = p(w) and v, w not in {0, all-ones}.
+    """
+    if v == w:
+        return 0, 0
+    pv = v.bit_count() & 1
+    if ((v & w).bit_count() & 1) ^ pv == 1:
+        # v^T w = 1 - p(v): one reflection suffices
+        return v ^ w, 0
+    full = (1 << n) - 1
+    common0 = full & ~v & ~w
+    common1 = v & w
+    if common0 and common1:
+        a = top_bit(common0) | top_bit(common1)
+    else:
+        # mixed pair: one index set only in v, one only in w
+        a = top_bit(v & ~w) | top_bit(w & ~v)
+    return a, v ^ w ^ a

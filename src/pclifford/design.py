@@ -6,9 +6,10 @@ averages ((f_+ + c_+)/2)^(t-1) with f_+ the even fixed labels and c_+
 the even labels S maps to their complement.  All counts come from rank
 computations, never from enumeration; exact potentials are rationals.
 
-Monte Carlo estimates report mean and standard error of the mean; the
-sampling draws one level index per recursion level, so a run is
-reproducible from (seed, dim, samples) alone.
+Monte Carlo estimates report mean and standard error of the mean (null
+for a single sample); the sampling draws the pick lists of the group
+module, so a run is reproducible from (seed, dim, samples) alone and
+consumes the rng exactly as the same number of sampler calls would.
 """
 
 from __future__ import annotations
@@ -19,19 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
+from ._bits import symp_pauli
 from .f2core import BitMatrix, rank_ints
-from .group import (
-    OrthogonalMap,
-    SymplecticMap,
-    _build_orthogonal_rows,
-    _build_symplectic_rows,
-    _orth_level_count,
-    _random_orthogonal_rows,
-    _symp_int,
-    group_order,
-)
+from .group import OrthogonalMap, SymplecticMap, group_order, group_rows, level_sizes
 
 __all__ = [
     "FixedPointProfile",
@@ -94,7 +87,7 @@ class FramePotentialReport:
             payload["std_error"] = self.std_error
             payload["samples"] = self.samples
             payload["seed"] = self.seed
-        return json.dumps(payload)
+        return json.dumps(payload, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -131,34 +124,10 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # ensemble iteration and the potentials
 
 
-def _iter_group_rows(kind: str, dim: int) -> Iterator[list[int]]:
-    if kind == "orthogonal":
-        levels = [range(_orth_level_count(k)) for k in range(dim, 1, -1)]
-        for picks in itertools.product(*levels):
-            yield _build_orthogonal_rows(dim, picks)
-    else:
-        levels = [
-            list(itertools.product(range((1 << k) - 1), range(1 << (k - 1))))
-            for k in range(dim, 0, -2)
-        ]
-        for picks in itertools.product(*levels):
-            yield _build_symplectic_rows(dim, list(picks))
-
-
-def _random_group_rows(kind: str, dim: int, rng: random.Random) -> list[int]:
-    if kind == "orthogonal":
-        return _random_orthogonal_rows(dim, rng)
-    picks = [
-        (rng.randrange((1 << k) - 1), rng.randrange(1 << (k - 1)))
-        for k in range(dim, 0, -2)
-    ]
-    return _build_symplectic_rows(dim, picks)
-
-
-def _check_ensemble(kind: str, dim: int) -> None:
+def _check_ensemble(kind: str, dim: int) -> list[int]:
     if kind not in ("orthogonal", "symplectic"):
         raise ValueError(f"unknown ensemble {kind!r}")
-    group_order(kind, dim)  # validates dim for the kind
+    return level_sizes(kind, dim)  # validates dim for the kind
 
 
 def _potential(
@@ -171,7 +140,7 @@ def _potential(
     seed,
     samples: int,
 ) -> FramePotentialReport:
-    _check_ensemble(kind, dim)
+    sizes = _check_ensemble(kind, dim)
     if t < 1:
         raise ValueError("frame potential order must be >= 1")
     if restricted and kind != "orthogonal":
@@ -183,7 +152,8 @@ def _potential(
                 f"group order {order} exceeds the exact-mode budget {budget}"
             )
         total = 0
-        for rows in _iter_group_rows(kind, dim):
+        for picks in itertools.product(*map(range, sizes)):
+            rows = group_rows(kind, dim, picks)
             if restricted:
                 f_plus, c_plus = _parity_counts(rows, dim)
                 total += (f_plus + c_plus) ** (t - 1)
@@ -200,21 +170,26 @@ def _potential(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     acc = 0.0
     acc_sq = 0.0
-    for _ in range(samples):
-        rows = _random_group_rows(kind, dim, rng)
-        if restricted:
-            f_plus, c_plus = _parity_counts(rows, dim)
-            x = float((f_plus + c_plus) / 2) ** (t - 1)
-        else:
-            x = float(1 << _fixed_exponent(rows, dim)) ** (t - 1)
-        acc += x
-        acc_sq += x * x
+    overflow = f"Monte Carlo sums at t={t} overflow a float; use exact mode (--exact)"
+    try:
+        for _ in range(samples):
+            rows = group_rows(kind, dim, [rng.randrange(s) for s in sizes])
+            if restricted:
+                f_plus, c_plus = _parity_counts(rows, dim)
+                x = float((f_plus + c_plus) / 2) ** (t - 1)
+            else:
+                x = float(1 << _fixed_exponent(rows, dim)) ** (t - 1)
+            acc += x
+            acc_sq += x * x
+    except OverflowError as exc:
+        raise ValueError(overflow) from exc
+    if not (math.isfinite(acc) and math.isfinite(acc_sq)):
+        raise ValueError(overflow)
     est = acc / samples
+    se = None  # undefined for a single sample
     if samples > 1:
         var = max(acc_sq - samples * est * est, 0.0) / (samples - 1)
         se = math.sqrt(var / samples)
-    else:
-        se = float("inf")
     return FramePotentialReport(
         kind,
         dim,
@@ -332,7 +307,7 @@ def orbit_decomposition(
                 p ^ (a if (p & a).bit_count() & 1 else 0) for p in points
             ]
         else:
-            img_pt = [p ^ (a if _symp_int(a, p, dim) else 0) for p in points]
+            img_pt = [p ^ (a if symp_pauli(a, p, dim) else 0) for p in points]
         if space == "even_quotient":
             img_pt = [min(p, p ^ j) for p in img_pt]
         img = [pos[p] for p in img_pt]

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._bits import gather, scatter, symp_pauli
+
 __all__ = [
     "BitVec",
     "BitMatrix",
@@ -145,27 +147,15 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            mark = 1 << (self.rows - 1 - i)
-            x = r
-            while x:
-                p = (x & -x).bit_length() - 1
-                out[self.cols - 1 - p] |= mark
-                x &= x - 1
+            scatter(out, r, self.cols, 1 << (self.rows - 1 - i))
         return BitMatrix(self.cols, self.rows, tuple(out))
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        out = []
-        for r in self.data:
-            acc = 0
-            x = r
-            while x:
-                p = (x & -x).bit_length() - 1
-                acc ^= other.data[self.cols - 1 - p]
-                x &= x - 1
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        rows, n = other.data, self.cols
+        out = tuple(gather(rows, r, n) for r in self.data)
+        return BitMatrix(self.rows, other.cols, out)
 
     def mulvec(self, v: BitVec) -> BitVec:
         if self.cols != v.n:
@@ -203,13 +193,6 @@ def complement(a):
     raise TypeError("expected BitVec or BitMatrix")
 
 
-def _eta_swap(bits: int, n: int) -> int:
-    """Swap the two entries of every adjacent index pair (1,2), (3,4), ..."""
-    hi = int("10" * (n // 2), 2)
-    lo = int("01" * (n // 2), 2)
-    return ((bits & hi) >> 1) | ((bits & lo) << 1)
-
-
 def symp_product(v: BitVec, w: BitVec, basis: str = "majorana") -> int:
     """Symplectic product, computed without materializing the form.
 
@@ -223,7 +206,7 @@ def symp_product(v: BitVec, w: BitVec, basis: str = "majorana") -> int:
     if basis == "majorana":
         return (v.parity & w.parity) ^ ((v.bits & w.bits).bit_count() & 1)
     if basis == "pauli":
-        return (v.bits & _eta_swap(w.bits, w.n)).bit_count() & 1
+        return symp_pauli(v.bits, w.bits, v.n)
     raise ValueError(f"unknown basis {basis!r}")
 
 

@@ -5,23 +5,35 @@ matrices; the braiding operator with even label a acts on labels as the
 Householder reflection h_a = I + a a^T.  General Cliffords correspond to
 symplectic matrices and transvections.
 
-Index-based samplers are bijections from 1..|G| onto the group, built
-level by level: each level fixes the image of one standard basis vector
-(one symplectic pair for Sp) and recurses on the stabilizer.  At odd
-level N the all-ones vector cannot be a column of an orthogonal matrix,
-so that level has 2**(N-1) - 1 choices rather than 2**(N-1); the odd
-levels are what make |O(2n)| smaller than |Sp(2n)|.
+Elements are built level by level: each level fixes the image of one
+standard basis vector (one symplectic pair for Sp) and recurses on the
+stabilizer.  At odd level N the all-ones vector cannot be a column of
+an orthogonal matrix, so that level has 2**(N-1) - 1 choices rather
+than 2**(N-1); the odd levels are what make |O(2n)| smaller than
+|Sp(2n)|.
 
-Random samplers draw one level index per level, never a big integer.
+Pick-list contract.  group_rows(kind, dim, picks) builds every element;
+picks holds one number per entry s of level_sizes(kind, dim), with
+0 <= pick < s, and the entries run from the top level down.  O(N) has
+one entry per level N, N-1, ..., 2 (the odd-parity first column).
+Sp(2n) has two per level 2n, 2n-2, ..., 2: the first column c1, then
+its partner c2.  Random samplers draw rng.randrange(s) for each entry
+in that order, never a big integer; index samplers read index - 1 as a
+mixed-radix number whose least significant digit is the first entry;
+exact enumeration is itertools.product over the ranges, and the group
+order is the product of the sizes.  Reordering the entries changes
+every seeded and indexed output.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from ._bits import eta_swap, householder_pair, rank_one, symp_pauli, top_bit
 from .f2core import (
     BitMatrix,
     BitVec,
@@ -45,6 +57,8 @@ __all__ = [
     "sample_symplectic",
     "sample_symplectic_random",
     "group_order",
+    "level_sizes",
+    "group_rows",
     "decompose_orthogonal",
     "reflection_product",
     "reduce_to_elementary",
@@ -162,50 +176,7 @@ def braid_action(a: BitVec, s: MajoranaString, allow_odd: bool = False) -> Major
 
 
 # ---------------------------------------------------------------------------
-# packed-row helpers (index 1 is the most significant bit, as in f2core)
-
-
-def _reflect(rows: list[int], a: int, n: int) -> None:
-    """In-place left multiplication by h_a on packed rows."""
-    if a == 0:
-        return
-    acc = 0
-    x = a
-    while x:
-        p = (x & -x).bit_length() - 1
-        acc ^= rows[n - 1 - p]
-        x &= x - 1
-    x = a
-    while x:
-        p = (x & -x).bit_length() - 1
-        rows[n - 1 - p] ^= acc
-        x &= x - 1
-
-
-def _top_bit(x: int) -> int:
-    return 1 << (x.bit_length() - 1)
-
-
-def _householder_pair(v: int, w: int, n: int) -> tuple[int, int]:
-    """Raw Algorithm: even a, b with h_b h_a v = w (and also w -> v).
-
-    Callers guarantee p(v) = p(w) and v, w not in {0, all-ones}.
-    """
-    if v == w:
-        return 0, 0
-    pv = v.bit_count() & 1
-    if ((v & w).bit_count() & 1) ^ pv == 1:
-        # v^T w = 1 - p(v): one reflection suffices
-        return v ^ w, 0
-    full = (1 << n) - 1
-    common0 = full & ~v & ~w
-    common1 = v & w
-    if common0 and common1:
-        a = _top_bit(common0) | _top_bit(common1)
-    else:
-        # mixed pair: one index set only in v, one only in w
-        a = _top_bit(v & ~w) | _top_bit(w & ~v)
-    return a, v ^ w ^ a
+# reflections between vectors
 
 
 def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
@@ -222,37 +193,64 @@ def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
     for x in (v, w):
         if x.bits == 0 or x.bits == full:
             raise ValueError("zero and all-ones vectors are not connectable")
-    a, b = _householder_pair(v.bits, w.bits, v.n)
+    a, b = householder_pair(v.bits, w.bits, v.n)
     return BitVec(v.n, a), BitVec(v.n, b)
 
 
 # ---------------------------------------------------------------------------
-# group orders and index sampling
+# pick lists: level sizes, group orders, row builders
 
 
-def _orth_level_count(k: int) -> int:
-    # odd-parity first columns; the all-ones vector is impossible at odd k
-    return (1 << (k - 1)) - (k & 1)
+def level_sizes(kind: str, dim: int) -> list[int]:
+    """Radix of each pick-list entry, in draw order."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if kind == "orthogonal":
+        # odd-parity first columns; the all-ones vector is impossible at odd k
+        return [(1 << (k - 1)) - (k & 1) for k in range(dim, 1, -1)]
+    if kind == "symplectic":
+        if dim % 2:
+            raise ValueError("symplectic groups need even dimension")
+        # first column c1 != 0, then one of the partners of c1
+        return [s for k in range(dim, 0, -2) for s in ((1 << k) - 1, 1 << (k - 1))]
+    raise ValueError(f"unknown group kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
 def group_order(kind: str, dim: int) -> int:
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    return math.prod(level_sizes(kind, dim))
+
+
+def group_rows(kind: str, dim: int, picks: Sequence[int]) -> list[int]:
+    """Packed rows of the element named by a pick list (pauli basis for
+    Sp); picks are trusted to lie in range."""
     if kind == "orthogonal":
-        order = 1
-        for k in range(2, dim + 1):
-            order *= _orth_level_count(k)
-        return order
+        return _orthogonal_rows(dim, picks)
     if kind == "symplectic":
-        if dim % 2:
-            raise ValueError("symplectic groups need even dimension")
-        n = dim // 2
-        order = 1 << (n * n)
-        for i in range(1, n + 1):
-            order *= (1 << (2 * i)) - 1
-        return order
+        return _symplectic_rows(dim, picks)
     raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _index_picks(kind: str, dim: int, index: int) -> list[int]:
+    """index - 1 as mixed-radix digits, the first entry least significant."""
+    order = group_order(kind, dim)
+    if not 1 <= index <= order:
+        raise ValueError(f"index {index} out of range 1..{order}")
+    rem = index - 1
+    picks = []
+    for s in level_sizes(kind, dim):
+        rem, digit = divmod(rem, s)
+        picks.append(digit)
+    return picks
+
+
+def _random_picks(kind: str, dim: int, seed) -> list[int]:
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return [rng.randrange(s) for s in level_sizes(kind, dim)]
+
+
+# ---------------------------------------------------------------------------
+# orthogonal builder
 
 
 def _odd_parity_vector(k: int, idx: int) -> int:
@@ -260,65 +258,37 @@ def _odd_parity_vector(k: int, idx: int) -> int:
     return (idx << 1) | (1 ^ (idx.bit_count() & 1))
 
 
-def _build_orthogonal_rows(dim: int, picks: Sequence[int]) -> list[int]:
+def _orthogonal_rows(dim: int, picks: Sequence[int]) -> list[int]:
     rows = [1]
     for k in range(2, dim + 1):
         f = _odd_parity_vector(k, picks[dim - k])
-        a, b = _householder_pair(1 << (k - 1), f, k)
+        a, b = householder_pair(1 << (k - 1), f, k)
         rows = [1 << (k - 1)] + rows
-        _reflect(rows, a, k)
-        _reflect(rows, b, k)
+        rank_one(rows, a, a, k)
+        rank_one(rows, b, b, k)
     return rows
 
 
 def sample_orthogonal(dim: int, index: int) -> OrthogonalMap:
     """Bijection from 1..|O(dim)| onto the orthogonal group."""
-    order = group_order("orthogonal", dim)
-    if not 1 <= index <= order:
-        raise ValueError(f"index {index} out of range 1..{order}")
-    rem = index - 1
-    picks = [0] * max(dim - 1, 0)
-    for k in range(dim, 1, -1):
-        p = _orth_level_count(k)
-        picks[dim - k] = rem % p
-        rem //= p
-    rows = _build_orthogonal_rows(dim, picks)
+    rows = _orthogonal_rows(dim, _index_picks("orthogonal", dim, index))
     return OrthogonalMap(BitMatrix(dim, dim, tuple(rows)))
-
-
-def _random_orthogonal_rows(dim: int, rng: random.Random) -> list[int]:
-    picks = [rng.randrange(_orth_level_count(k)) for k in range(dim, 1, -1)]
-    return _build_orthogonal_rows(dim, picks)
 
 
 def sample_orthogonal_random(dim: int, seed=None) -> OrthogonalMap:
     """Uniform over O(dim): one level index drawn per recursion level."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    rows = _random_orthogonal_rows(dim, rng)
+    rows = _orthogonal_rows(dim, _random_picks("orthogonal", dim, seed))
     return OrthogonalMap(BitMatrix(dim, dim, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------
-# symplectic sampling (pauli basis internally)
-
-
-def _symp_int(a: int, b: int, dim: int) -> int:
-    hi = int("10" * (dim // 2), 2)
-    lo = int("01" * (dim // 2), 2)
-    swapped = ((b & hi) >> 1) | ((b & lo) << 1)
-    return (a & swapped).bit_count() & 1
-
-
-def _transvect_int(h: int, x: int, dim: int) -> int:
-    return x ^ (h if _symp_int(h, x, dim) else 0)
+# symplectic builder (pauli basis internally)
 
 
 def _solve_symp_constraints(vecs: list[int], dim: int) -> int:
     """Some x with <v, x> = 1 for every v in vecs; callers guarantee
     consistency."""
-    hi = int("10" * (dim // 2), 2)
-    lo = int("01" * (dim // 2), 2)
-    rows = tuple(((v & hi) >> 1) | ((v & lo) << 1) for v in vecs)
+    rows = tuple(eta_swap(v, dim) for v in vecs)
     sol = solve_affine(
         BitMatrix(len(rows), dim, rows), BitVec(len(rows), (1 << len(rows)) - 1)
     )
@@ -333,17 +303,18 @@ def _pair_transvections(c1: int, c2: int, dim: int) -> list[int]:
     e2 = 1 << (dim - 2)
     if c1 == e1:
         t_part: list[int] = []
-    elif _symp_int(e1, c1, dim):
+    elif symp_pauli(e1, c1, dim):
         t_part = [e1 ^ c1]
     else:
         w = _solve_symp_constraints([e1, c1], dim)
         t_part = [e1 ^ w, w ^ c1]
     d = c2
     for h in reversed(t_part):
-        d = _transvect_int(h, d, dim)
+        if symp_pauli(h, d, dim):
+            d ^= h
     if d == e2:
         m_part: list[int] = []
-    elif _symp_int(e2, d, dim):
+    elif symp_pauli(e2, d, dim):
         m_part = [e2 ^ d]
     else:
         w = _solve_symp_constraints([e1, e2, d], dim)
@@ -351,86 +322,44 @@ def _pair_transvections(c1: int, c2: int, dim: int) -> list[int]:
     return m_part + t_part
 
 
-def _apply_transvection_rows(rows: list[int], h: int, dim: int) -> None:
-    """In-place left multiplication by the transvection matrix of h."""
-    if h == 0:
-        return
-    hi = int("10" * (dim // 2), 2)
-    lo = int("01" * (dim // 2), 2)
-    eta_h = ((h & hi) >> 1) | ((h & lo) << 1)
-    acc = 0
-    x = eta_h
-    while x:
-        p = (x & -x).bit_length() - 1
-        acc ^= rows[dim - 1 - p]
-        x &= x - 1
-    x = h
-    while x:
-        p = (x & -x).bit_length() - 1
-        rows[dim - 1 - p] ^= acc
-        x &= x - 1
-    return
-
-
-def _build_symplectic_rows(dim: int, picks: list[tuple[int, int]]) -> list[int]:
-    if dim == 0:
-        return []
-    k1, k2 = picks[0]
-    c1 = k1 + 1
-    hi = int("10" * (dim // 2), 2)
-    lo = int("01" * (dim // 2), 2)
-    eta_c1 = ((c1 & hi) >> 1) | ((c1 & lo) << 1)
-    sol = solve_affine(BitMatrix(1, dim, (eta_c1,)), BitVec(1, 1))
-    assert sol is not None
-    # the 2**(dim-1) partners of c1 are x0 plus kernel combinations
-    c2 = sol.x0.bits
-    for t, kv in enumerate(sol.kernel):
-        if (k2 >> t) & 1:
-            c2 ^= kv.bits
-    trans = _pair_transvections(c1, c2, dim)
-    sub = _build_symplectic_rows(dim - 2, picks[1:])
-    rows = [1 << (dim - 1), 1 << (dim - 2)] + [r for r in sub]
-    for h in trans:
-        _apply_transvection_rows(rows, h, dim)
+def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:
+    """Levels are built bottom up; level k reads picks[dim - k] for c1
+    and picks[dim - k + 1] for its partner c2."""
+    rows: list[int] = []
+    for k in range(2, dim + 1, 2):
+        c1 = picks[dim - k] + 1
+        sol = solve_affine(BitMatrix(1, k, (eta_swap(c1, k),)), BitVec(1, 1))
+        assert sol is not None
+        # the 2**(k-1) partners of c1 are x0 plus kernel combinations
+        c2 = sol.x0.bits
+        k2 = picks[dim - k + 1]
+        for t, kv in enumerate(sol.kernel):
+            if (k2 >> t) & 1:
+                c2 ^= kv.bits
+        rows = [1 << (k - 1), 1 << (k - 2)] + rows
+        for h in _pair_transvections(c1, c2, k):
+            rank_one(rows, eta_swap(h, k), h, k)
     return rows
 
 
-def _symplectic_to_majorana(rows: tuple[int, ...], dim: int) -> BitMatrix:
-    W = make_form("jw", dim)
-    return W.mul(BitMatrix(dim, dim, rows)).mul(W)
+def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
+    m = BitMatrix(dim, dim, tuple(rows))
+    if basis == "majorana":
+        W = make_form("jw", dim)
+        return SymplecticMap(W.mul(m).mul(W), "majorana")
+    return SymplecticMap(m, "pauli")
 
 
 def sample_symplectic(dim: int, index: int, basis: str = "pauli") -> SymplecticMap:
     """Bijection from 1..|Sp(dim)| onto the symplectic group."""
-    order = group_order("symplectic", dim)
-    if not 1 <= index <= order:
-        raise ValueError(f"index {index} out of range 1..{order}")
-    rem = index - 1
-    picks = []
-    for k in range(dim, 0, -2):
-        s = (1 << k) - 1
-        h = 1 << (k - 1)
-        lvl = rem % (s * h)
-        rem //= s * h
-        picks.append((lvl % s, lvl // s))
-    rows = tuple(_build_symplectic_rows(dim, picks))
-    if basis == "majorana":
-        return SymplecticMap(_symplectic_to_majorana(rows, dim), "majorana")
-    return SymplecticMap(BitMatrix(dim, dim, rows), "pauli")
+    rows = _symplectic_rows(dim, _index_picks("symplectic", dim, index))
+    return _symplectic_map(rows, dim, basis)
 
 
 def sample_symplectic_random(dim: int, seed=None, basis: str = "pauli") -> SymplecticMap:
     """Uniform over Sp(dim); per-level draws, deterministic given seed."""
-    if dim % 2 or dim < 2:
-        raise ValueError("symplectic groups need even dimension >= 2")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    picks = []
-    for k in range(dim, 0, -2):
-        picks.append((rng.randrange((1 << k) - 1), rng.randrange(1 << (k - 1))))
-    rows = tuple(_build_symplectic_rows(dim, picks))
-    if basis == "majorana":
-        return SymplecticMap(_symplectic_to_majorana(rows, dim), "majorana")
-    return SymplecticMap(BitMatrix(dim, dim, rows), "pauli")
+    rows = _symplectic_rows(dim, _random_picks("symplectic", dim, seed))
+    return _symplectic_map(rows, dim, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +381,10 @@ def decompose_orthogonal(S: OrthogonalMap) -> list[BitVec]:
         fbits = 0
         for i in range(off, N):
             fbits = (fbits << 1) | ((work[i] >> shift) & 1)
-        a, b = _householder_pair(1 << shift, fbits, k)
+        a, b = householder_pair(1 << shift, fbits, k)
         block = [work[i] & ((1 << k) - 1) for i in range(off, N)]
-        _reflect(block, a, k)
-        _reflect(block, b, k)
+        rank_one(block, a, a, k)
+        rank_one(block, b, b, k)
         assert block[0] == 1 << shift, "column peel failed"
         for i in range(off, N):
             work[i] = block[i - off]
@@ -474,7 +403,7 @@ def reflection_product(word: Sequence[BitVec], dim: int) -> BitMatrix:
             raise ValueError("word vector length does not match dimension")
         if x.parity:
             raise ValueError("householder vector must have even parity")
-        _reflect(rows, x.bits, dim)
+        rank_one(rows, x.bits, x.bits, dim)
     return BitMatrix(dim, dim, tuple(rows))
 
 
@@ -508,7 +437,7 @@ def reduce_to_elementary(a: BitVec) -> list[BitVec]:
         top3 = 0
         x = bits
         for _ in range(3):
-            t = _top_bit(x)
+            t = top_bit(x)
             top3 |= t
             x ^= t
         clear = ~bits & full

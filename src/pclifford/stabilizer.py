@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._bits import householder_pair, rank_one
 from .f2core import (
     BitMatrix,
     BitVec,
@@ -24,7 +25,7 @@ from .f2core import (
     solve_affine,
     symp_product,
 )
-from .group import OrthogonalMap, _householder_pair, _reflect
+from .group import OrthogonalMap
 from .strings import MajoranaString, compose
 
 __all__ = [
@@ -191,9 +192,10 @@ def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
         if m_tail == e_tail:
             a_tail = b_tail = 0b0110 << (tw - 4)
         else:
-            a_tail, b_tail = _householder_pair(e_tail, m_tail, tw)
-        _reflect(work, (m_lead << tw) | a_tail, n2)
-        _reflect(work, b_tail, n2)
+            a_tail, b_tail = householder_pair(e_tail, m_tail, tw)
+        a = (m_lead << tw) | a_tail
+        rank_one(work, a, a, n2)
+        rank_one(work, b_tail, b_tail, n2)
     # work accumulated the inverse routing; its transpose is S
     return OrthogonalMap(BitMatrix(n2, n2, tuple(work)).transpose())
 

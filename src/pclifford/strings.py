@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._bits import pair_mask
 from .f2core import BitVec, make_form, symp_product
 
 __all__ = [
@@ -61,18 +62,13 @@ class MajoranaString:
         return format_string(self)
 
 
-def _pair_mask(n: int) -> int:
-    # ones at the even bit positions, entry indices 2, 4, ...
-    return int("01" * (n // 2), 2)
-
-
 def quad_lower(v: BitVec, basis: str = "majorana") -> int:
     """q(v) = v^T L v with L the strictly lower triangle of the form."""
     if basis == "majorana":
         w = v.bits.bit_count()
         return (w * (w - 1) // 2) & 1
     if basis == "pauli":
-        both = v.bits & (v.bits >> 1) & _pair_mask(v.n)
+        both = v.bits & (v.bits >> 1) & pair_mask(v.n)
         return both.bit_count() & 1
     raise ValueError(f"unknown basis {basis!r}")
 
@@ -88,7 +84,7 @@ def _cross_lower(v: BitVec, w: BitVec, basis: str) -> int:
             x &= x - 1
         return acc
     if basis == "pauli":
-        hit = v.bits & (w.bits >> 1) & _pair_mask(v.n)
+        hit = v.bits & (w.bits >> 1) & pair_mask(v.n)
         return hit.bit_count() & 1
     raise ValueError(f"unknown basis {basis!r}")
 

@@ -1,0 +1,174 @@
+"""Packed-int kernels against the loop implementations they replaced."""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pclifford._bits import eta_swap, gather, pair_mask, rank_one, scatter, symp_pauli
+from pclifford.f2core import BitMatrix, BitVec
+from pclifford.strings import quad_lower
+
+MAX_LEN = 300
+
+
+# ---------------------------------------------------------------------------
+# references: the loops and string-built masks the kernels replaced
+
+
+def ref_masks(n):
+    """String-built pair masks; the empty string at n = 1 reads as 0."""
+    hi = int("10" * (n // 2) or "0", 2)
+    lo = int("01" * (n // 2) or "0", 2)
+    return hi, lo
+
+
+def ref_eta_swap(bits, n):
+    hi, lo = ref_masks(n)
+    return ((bits & hi) >> 1) | ((bits & lo) << 1)
+
+
+def ref_reflect(rows, a, n):
+    """In-place left multiplication by h_a on packed rows."""
+    if a == 0:
+        return
+    acc = 0
+    x = a
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[n - 1 - p]
+        x &= x - 1
+    x = a
+    while x:
+        p = (x & -x).bit_length() - 1
+        rows[n - 1 - p] ^= acc
+        x &= x - 1
+
+
+def ref_apply_transvection_rows(rows, h, dim):
+    """In-place left multiplication by the transvection matrix of h."""
+    if h == 0:
+        return
+    hi, lo = ref_masks(dim)
+    eta_h = ((h & hi) >> 1) | ((h & lo) << 1)
+    acc = 0
+    x = eta_h
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[dim - 1 - p]
+        x &= x - 1
+    x = h
+    while x:
+        p = (x & -x).bit_length() - 1
+        rows[dim - 1 - p] ^= acc
+        x &= x - 1
+
+
+def dense(m):
+    return np.array(
+        [[int(ch) for ch in format(r, f"0{m.cols}b")] for r in m.data], dtype=np.int64
+    ).reshape(m.rows, m.cols)
+
+
+def packed(a):
+    return tuple(int("".join(str(int(b)) for b in row), 2) for row in a)
+
+
+# ---------------------------------------------------------------------------
+# strategies: a length, then words of that length drawn from one seed
+
+
+lengths = st.integers(1, MAX_LEN)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def words(seed, n, count):
+    rng = random.Random(seed)
+    return [rng.getrandbits(n) for _ in range(count)]
+
+
+def test_pair_mask_every_length():
+    for n in range(1, MAX_LEN + 1):
+        hi, lo = ref_masks(n)
+        assert pair_mask(n) == lo
+        assert pair_mask(n) << 1 == hi
+
+
+@given(lengths, seeds)
+def test_eta_swap_matches_string_masks(n, seed):
+    for x in words(seed, n, 4):
+        assert eta_swap(x, n) == ref_eta_swap(x, n)
+        # an involution on the paired entries; odd n drops the leading one
+        assert eta_swap(eta_swap(x, n), n) == x & (3 * pair_mask(n))
+
+
+@given(lengths, seeds)
+def test_symp_pauli_matches_string_masks(n, seed):
+    a, b = words(seed, n, 2)
+    assert symp_pauli(a, b, n) == (a & ref_eta_swap(b, n)).bit_count() & 1
+
+
+@given(lengths, seeds)
+def test_pauli_quad_lower_matches_string_mask(n, seed):
+    # public and defined for odd lengths too
+    (x,) = words(seed, n, 1)
+    _, lo = ref_masks(n)
+    assert quad_lower(BitVec(n, x), "pauli") == (x & (x >> 1) & lo).bit_count() & 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths, seeds, st.booleans())
+def test_reflection_matches_loop(n, seed, zero):
+    rows = words(seed, n, n + 1)
+    a = 0 if zero else rows.pop()
+    want = rows[:n]
+    got = list(want)
+    ref_reflect(want, a, n)
+    rank_one(got, a, a, n)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths, seeds, st.booleans())
+def test_transvection_matches_loop(n, seed, zero):
+    rows = words(seed, n, n + 1)
+    h = 0 if zero else rows.pop()
+    want = rows[:n]
+    got = list(want)
+    ref_apply_transvection_rows(want, h, n)
+    rank_one(got, eta_swap(h, n), h, n)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths, seeds)
+def test_gather_and_scatter_match_loops(n, seed):
+    rows = words(seed, n, n + 2)
+    x, value = rows.pop(), rows.pop()
+    acc = 0
+    for i in range(n):
+        if (x >> (n - 1 - i)) & 1:
+            acc ^= rows[i]
+    assert gather(rows, x, n) == acc
+    want = [r ^ value if (x >> (n - 1 - i)) & 1 else r for i, r in enumerate(rows)]
+    scatter(rows, x, n, value)
+    assert rows == want
+
+
+shapes = st.tuples(lengths, lengths, lengths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, seeds)
+def test_mul_matches_dense(shape, seed):
+    r, k, c = shape
+    A = BitMatrix(r, k, tuple(words(seed, k, r)))
+    B = BitMatrix(k, c, tuple(words(seed + 1, c, k)))
+    assert A.mul(B).data == packed((dense(A) @ dense(B)) % 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths, lengths, seeds)
+def test_transpose_matches_dense(r, c, seed):
+    A = BitMatrix(r, c, tuple(words(seed, c, r)))
+    assert A.transpose().data == packed(dense(A).T)

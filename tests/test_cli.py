@@ -189,6 +189,43 @@ class TestFrame:
         assert code == 0 and json.loads(out)["value"] == 15
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestFrameJsonValidity:
+    def test_single_sample_has_null_std_error(self, capsys):
+        code, out, _ = run(
+            capsys, "frame", "--group", "o", "--dim", "4", "--t", "2", "--samples", "1"
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["samples"] == 1 and payload["std_error"] is None
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_overflow_is_an_input_error(self, capsys, restricted):
+        argv = ["frame", "--group", "o", "--dim", "4", "--t", "400", "--samples", "10"]
+        if restricted:
+            argv.append("--parity-restricted")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "--exact" in err
+
+    def test_library_json_refuses_non_finite(self):
+        from pclifford.design import FramePotentialReport
+
+        rep = FramePotentialReport(
+            "orthogonal", 4, 2, "monte_carlo", False, estimate=1.0,
+            std_error=float("inf"), samples=2,
+        )
+        with pytest.raises(ValueError):
+            rep.to_json()
+
+
 class TestOrbits:
     def test_orthogonal_4(self, capsys):
         code, out, _ = run(capsys, "orbits", "--group", "o", "--dim", "4")

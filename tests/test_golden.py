@@ -1,0 +1,173 @@
+"""Golden outputs of the samplers, the encoder and the Monte Carlo potentials.
+
+The hashes were taken from the implementation that predates the shared
+packed-bit kernels, so any refactor of the builders must reproduce the
+same matrices, braid words and estimates for the same seeds, and draw
+the same random numbers in the same order.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from pclifford.design import frame_potential, parity_frame_potential
+from pclifford.group import (
+    decompose_orthogonal,
+    group_order,
+    sample_orthogonal,
+    sample_orthogonal_random,
+    sample_symplectic,
+    sample_symplectic_random,
+)
+from pclifford.stabilizer import (
+    add_ancilla,
+    canonical_isotropic,
+    stab_clifford,
+    transform_isotropic,
+)
+
+ORTHOGONAL_DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 64, 256)
+SYMPLECTIC_DIMS = (2, 4, 6, 192)
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _indices(order: int, dim: int) -> list[int]:
+    """Both ends of 1..order plus a few seeded interior indices."""
+    if order <= 8:
+        return list(range(1, order + 1))
+    rng = random.Random(dim)
+    return [1, order] + [rng.randrange(order) + 1 for _ in range(4)]
+
+
+def _orthogonal_index_items():
+    for dim in ORTHOGONAL_DIMS:
+        for i in _indices(group_order("orthogonal", dim), dim):
+            yield dim, hex(i), sample_orthogonal(dim, i).m.data
+
+
+def _orthogonal_seeded_items():
+    for dim in ORTHOGONAL_DIMS:
+        for seed in (0, 1, 2):
+            yield dim, seed, sample_orthogonal_random(dim, seed).m.data
+
+
+def _symplectic_index_items():
+    for dim in SYMPLECTIC_DIMS:
+        for basis in ("pauli", "majorana"):
+            idx = _indices(group_order("symplectic", dim), dim)
+            for i in idx if dim < 192 else idx[:3]:
+                yield dim, basis, hex(i), sample_symplectic(dim, i, basis).m.data
+
+
+def _symplectic_seeded_items():
+    for dim in SYMPLECTIC_DIMS:
+        for basis in ("pauli", "majorana"):
+            for seed in (0, 1) if dim == 192 else (0, 1, 2):
+                yield dim, basis, seed, sample_symplectic_random(dim, seed, basis).m.data
+
+
+def _encoder_items():
+    rng = random.Random(20240715)
+    for _ in range(40):
+        n0 = rng.randint(1, 12)
+        r = rng.randint(1, n0)
+        S0 = sample_orthogonal_random(2 * n0, rng)
+        M = add_ancilla(transform_isotropic(S0, canonical_isotropic(n0, r)))
+        S = stab_clifford(M)
+        word = decompose_orthogonal(S)
+        yield n0, r, S.m.data, tuple(str(a) for a in word)
+
+
+def _monte_carlo_items():
+    for seed in (1, 2, 3):
+        for rep in (
+            frame_potential("orthogonal", 6, 3, mode="monte_carlo", seed=seed, samples=400),
+            frame_potential("orthogonal", 7, 2, mode="monte_carlo", seed=seed, samples=400),
+            frame_potential("symplectic", 4, 3, mode="monte_carlo", seed=seed, samples=400),
+            parity_frame_potential(6, 4, mode="monte_carlo", seed=seed, samples=400),
+        ):
+            yield rep.ensemble, rep.dim, rep.t, repr(rep.estimate), repr(rep.std_error)
+
+
+GOLDEN = {
+    "orthogonal_index": "ac5828dec42ab2268aa682aa55d021e21e45b22b0fd9e286278850829bf07476",
+    "orthogonal_seeded": "16338691b68d3597ee3fc0bf1aba1b2ebc801b57ff98c92e0bc8fff18f4ea401",
+    "symplectic_index": "6940da7f98447731dc21cdeef39c33a72e34fe7f94d44608592eccdb64a25ea1",
+    "symplectic_seeded": "4b80451facb4d2b01e8dbb371cb17caad3574fd067f08418c40cefd7e7f1bafc",
+    "encoder": "a5a414611d808a289295bbb3511a64f1e9a26a64de41701148c9626ee31bdf61",
+    "monte_carlo": "40106f7ad5c4021aa190755b56329ac02b871ebe1625b7eb3f59ec28f50f8720",
+}
+
+ITEMS = {
+    "orthogonal_index": _orthogonal_index_items,
+    "orthogonal_seeded": _orthogonal_seeded_items,
+    "symplectic_index": _symplectic_index_items,
+    "symplectic_seeded": _symplectic_seeded_items,
+    "encoder": _encoder_items,
+    "monte_carlo": _monte_carlo_items,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    assert _digest(ITEMS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "kind, dim, t, restricted",
+    [
+        ("orthogonal", 6, 2, False),
+        ("orthogonal", 7, 3, False),
+        ("orthogonal", 8, 2, True),
+        ("symplectic", 6, 2, False),
+    ],
+)
+def test_monte_carlo_consumes_the_sampler_stream(kind, dim, t, restricted):
+    """An MC run of k samples leaves the rng where k sampler calls do."""
+    k = 25
+    by_sampler = random.Random(99)
+    for _ in range(k):
+        if kind == "orthogonal":
+            sample_orthogonal_random(dim, by_sampler)
+        else:
+            sample_symplectic_random(dim, by_sampler)
+    by_mc = random.Random(99)
+    if restricted:
+        parity_frame_potential(dim, t, mode="monte_carlo", seed=by_mc, samples=k)
+    else:
+        frame_potential(kind, dim, t, mode="monte_carlo", seed=by_mc, samples=k)
+    assert by_mc.getstate() == by_sampler.getstate()
+
+
+def _orthogonal_order_closed_form(dim: int) -> int:
+    """|O(2n+1)| = |Sp(2n)| and |O(2n)| = 2^(2n-1) |Sp(2n-2)|."""
+    if dim % 2:
+        return _symplectic_order_closed_form(dim - 1)
+    return (1 << (dim - 1)) * _symplectic_order_closed_form(dim - 2)
+
+
+def _symplectic_order_closed_form(dim: int) -> int:
+    """|Sp(2n, F2)| = 2^(n^2) prod_{i=1..n} (4^i - 1)."""
+    n = dim // 2
+    return (1 << (n * n)) * math.prod((1 << (2 * i)) - 1 for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("dim", range(1, 65))
+def test_orthogonal_order_matches_closed_forms(dim):
+    level_product = math.prod((1 << (k - 1)) - (k & 1) for k in range(2, dim + 1))
+    assert group_order("orthogonal", dim) == level_product
+    assert group_order("orthogonal", dim) == _orthogonal_order_closed_form(dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 65, 2))
+def test_symplectic_order_matches_closed_form(dim):
+    assert group_order("symplectic", dim) == _symplectic_order_closed_form(dim)
