@@ -3,13 +3,23 @@
 The t-th frame potential of a group of F2 maps is the group average of
 f(S)^(t-1), where f counts fixed labels; the parity-restricted variant
 averages ((f_+ + c_+)/2)^(t-1) with f_+ the even fixed labels and c_+
-the even labels S maps to their complement.  All counts come from rank
-computations, never from enumeration; exact potentials are rationals.
+the even labels S maps to their complement.  It needs an even
+dimension: only then is the all-ones vector j even, and 0 and j make
+f_+ >= 2.  All counts come from rank computations, never from
+enumeration; exact potentials are rationals.
+
+Every count is a power of two, so an element enters only through its
+fixed-point exponent e = log2 f, or e = log2((f_+ + c_+)/2) when
+restricted, and its summand is 2^(e(t-1)).  One stream of exponents,
+fed by pick lists of the group module, is the only path from an
+element to a summand: exact mode feeds it every pick list and reduces
+it to a histogram {e: count}; Monte Carlo feeds it random pick lists.
 
 Monte Carlo estimates report mean and standard error of the mean (null
-for a single sample); the sampling draws the pick lists of the group
-module, so a run is reproducible from (seed, dim, samples) alone and
-consumes the rng exactly as the same number of sampler calls would.
+for a single sample).  A run is reproducible from (seed, dim, samples)
+alone and consumes the rng exactly as the same number of sampler calls
+would.  Its float sums run in sample order: past 2^53 they round, and a
+histogram reduction would round differently.
 """
 
 from __future__ import annotations
@@ -18,11 +28,12 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from ._bits import symp_pauli
+from ._bits import eta_swap
 from .f2core import BitMatrix, rank_ints
 from .group import OrthogonalMap, SymplecticMap, group_order, group_rows, level_sizes
 
@@ -94,11 +105,6 @@ class FramePotentialReport:
 # fixed points by rank
 
 
-def _fixed_exponent(rows: list[int], dim: int) -> int:
-    kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
-    return dim - rank_ints(kicked)
-
-
 def _parity_counts(rows: list[int], dim: int) -> tuple[int, int]:
     """(f_plus, c_plus) from two rank computations on S + I."""
     kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
@@ -111,23 +117,26 @@ def _parity_counts(rows: list[int], dim: int) -> tuple[int, int]:
     return f_plus, c_plus
 
 
+def _exponent(rows: list[int], dim: int, restricted: bool) -> int:
+    """e = log2 f, or log2((f_+ + c_+)/2) when restricted."""
+    if restricted:
+        f_plus, c_plus = _parity_counts(rows, dim)
+        return (f_plus + c_plus).bit_length() - 2
+    kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
+    return dim - rank_ints(kicked)
+
+
 def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
     """Counts via kernel ranks of S + I; O(dim^3), no enumeration."""
     rows = list(S.m.data)
     dim = S.m.rows
-    f = 1 << _fixed_exponent(rows, dim)
+    f = 1 << _exponent(rows, dim, False)
     f_plus, c_plus = _parity_counts(rows, dim)
     return FixedPointProfile(f, f_plus, c_plus)
 
 
 # ---------------------------------------------------------------------------
-# ensemble iteration and the potentials
-
-
-def _check_ensemble(kind: str, dim: int) -> list[int]:
-    if kind not in ("orthogonal", "symplectic"):
-        raise ValueError(f"unknown ensemble {kind!r}")
-    return level_sizes(kind, dim)  # validates dim for the kind
+# the exponent stream and the potentials
 
 
 def _potential(
@@ -140,45 +149,37 @@ def _potential(
     seed,
     samples: int,
 ) -> FramePotentialReport:
-    sizes = _check_ensemble(kind, dim)
+    sizes = level_sizes(kind, dim)  # validates kind and dim
     if t < 1:
         raise ValueError("frame potential order must be >= 1")
-    if restricted and kind != "orthogonal":
-        raise ValueError("parity restriction applies to the orthogonal ensemble")
+    if restricted and (kind != "orthogonal" or dim % 2):
+        raise ValueError("parity restriction needs O(N) with N even")
     if mode == "exact":
         order = group_order(kind, dim)
         if order > budget:
             raise ValueError(
                 f"group order {order} exceeds the exact-mode budget {budget}"
             )
-        total = 0
-        for picks in itertools.product(*map(range, sizes)):
-            rows = group_rows(kind, dim, picks)
-            if restricted:
-                f_plus, c_plus = _parity_counts(rows, dim)
-                total += (f_plus + c_plus) ** (t - 1)
-            else:
-                total += (1 << _fixed_exponent(rows, dim)) ** (t - 1)
-        denom = order * (1 << (t - 1)) if restricted else order
-        return FramePotentialReport(
-            kind, dim, t, "exact", restricted, value=Fraction(total, denom)
-        )
-    if mode != "monte_carlo":
+        picks = itertools.product(*map(range, sizes))
+    elif mode == "monte_carlo":
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+        picks = ([rng.randrange(s) for s in sizes] for _ in range(samples))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks)
+    if mode == "exact":
+        total = sum(count << (e * (t - 1)) for e, count in Counter(stream).items())
+        return FramePotentialReport(
+            kind, dim, t, "exact", restricted, value=Fraction(total, order)
+        )
     acc = 0.0
     acc_sq = 0.0
     overflow = f"Monte Carlo sums at t={t} overflow a float; use exact mode (--exact)"
     try:
-        for _ in range(samples):
-            rows = group_rows(kind, dim, [rng.randrange(s) for s in sizes])
-            if restricted:
-                f_plus, c_plus = _parity_counts(rows, dim)
-                x = float((f_plus + c_plus) / 2) ** (t - 1)
-            else:
-                x = float(1 << _fixed_exponent(rows, dim)) ** (t - 1)
+        for e in stream:
+            x = 2.0 ** (e * (t - 1))
             acc += x
             acc_sq += x * x
     except OverflowError as exc:
@@ -243,32 +244,8 @@ def haar_frame_potential(t: int, N: int) -> int:
 # orbits of the generator closure
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _orbit_points(dim: int, space: str) -> list[int]:
-    if space == "full":
-        return list(range(1 << dim))
-    if space == "even_quotient":
-        if dim % 2:
-            raise ValueError("even quotient needs even dimension")
-        j = (1 << dim) - 1
-        return [v for v in range(1 << dim) if v.bit_count() % 2 == 0 and v <= v ^ j]
-    raise ValueError(f"unknown space {space!r}")
+_TUPLE_BITS = 16  # at most 2^16 tuples, and a tuple order of at most 16
+_ORBIT_BUDGET = 1 << 24  # generators x tuples x tuple order
 
 
 def orbit_decomposition(
@@ -276,55 +253,75 @@ def orbit_decomposition(
 ) -> list[int]:
     """Sorted orbit sizes of the generator closure on (space)^tuple_order.
 
-    Orthogonal generators are the weight-2/4 reflections; symplectic
-    generators are all nonzero transvections.  The symplectic group
-    does not act on the even quotient (transvections move the all-ones
-    vector), so that combination is rejected.
+    A generator is a rank-one pair (u, h) acting as p -> p + (u^T p) h,
+    the convention of _bits.rank_one.  Orthogonal generators are the
+    weight-2/4 reflections h_a = (a, a); symplectic generators are all
+    nonzero transvections (eta a, a).  The symplectic group does not act
+    on the even quotient (transvections move the all-ones vector), so
+    that combination is rejected.
+
+    Two limits bound the work, and a request beyond either raises
+    ValueError before anything is enumerated: at most 2^16 tuples and a
+    tuple order of at most 16, and at most 2^24 for generators x tuples
+    x tuple order.
     """
     if tuple_order < 1:
         raise ValueError("tuple order must be >= 1")
+    if space not in ("full", "even_quotient"):
+        raise ValueError(f"unknown space {space!r}")
+    if space == "even_quotient" and dim % 2:
+        raise ValueError("even quotient needs even dimension")
+    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
+    if max(bits, 1) * tuple_order > _TUPLE_BITS:  # one point: order <= 16
+        raise ValueError(
+            f"{tuple_order}-tuples of 2^{bits} points exceed the tuple cap "
+            f"(at most 2^{_TUPLE_BITS} tuples and tuple order {_TUPLE_BITS})"
+        )
     if group == "symplectic":
         if dim % 2:
             raise ValueError("symplectic groups need even dimension")
         if space == "even_quotient":
             raise ValueError("the symplectic group does not act on the even quotient")
-        gens: Iterable[int] = range(1, 1 << dim)
+        gens = [(eta_swap(a, dim), a) for a in range(1, 1 << dim)]
     elif group == "orthogonal":
-        gens = [a for a in range(1 << dim) if a.bit_count() in (2, 4)]
+        gens = [(a, a) for a in range(1 << dim) if a.bit_count() in (2, 4)]
     else:
         raise ValueError(f"unknown group {group!r}")
-    points = _orbit_points(dim, space)
+    j = (1 << dim) - 1
+    # the even quotient: one point per pair {v, v + j} of even labels
+    points = [
+        v for v in range(1 << dim)
+        if space == "full" or (v.bit_count() % 2 == 0 and v <= v ^ j)
+    ]
     npts = len(points)
     total = npts**tuple_order
-    if total > 1 << 16:
-        raise ValueError(f"{total} tuples is too large to enumerate")
+    if len(gens) * total * tuple_order > _ORBIT_BUDGET:
+        raise ValueError(
+            f"{len(gens)} generators x {total} tuples x tuple order {tuple_order} "
+            f"exceed the orbit work budget of 2^24"
+        )
     pos = {p: i for i, p in enumerate(points)}
-    j = (1 << dim) - 1
-    uf = _UnionFind(total)
-    for a in gens:
-        if group == "orthogonal":
-            img_pt = [
-                p ^ (a if (p & a).bit_count() & 1 else 0) for p in points
-            ]
-        else:
-            img_pt = [p ^ (a if symp_pauli(a, p, dim) else 0) for p in points]
-        if space == "even_quotient":
-            img_pt = [min(p, p ^ j) for p in img_pt]
-        img = [pos[p] for p in img_pt]
-        for tidx in range(total):
-            rem = tidx
-            out = 0
-            mult = 1
-            for _ in range(tuple_order):
-                out += img[rem % npts] * mult
-                rem //= npts
-                mult *= npts
-            uf.union(tidx, out)
-    sizes: dict[int, int] = {}
-    for tidx in range(total):
-        root = uf.find(tidx)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.values())
+    if space == "even_quotient":
+        pos.update({p ^ j: i for i, p in enumerate(points)})
+    parent = list(range(total))  # union-find forest over tuple indices
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, h in gens:
+        img = [pos[p ^ (h if (u & p).bit_count() & 1 else 0)] for p in points]
+        # tuple index: the first position is the least significant digit
+        timg = [0]
+        for _ in range(tuple_order):
+            timg = [img[d] + npts * r for r in timg for d in range(npts)]
+        for tidx, out in enumerate(timg):
+            ra, rb = find(tidx), find(out)
+            if ra != rb:
+                parent[ra] = rb
+    return sorted(Counter(map(find, range(total))).values())
 
 
 def orbit_count(dim: int, tuple_order: int, group: str, space: str = "full") -> int:

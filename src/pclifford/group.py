@@ -347,7 +347,7 @@ def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
     if basis == "majorana":
         W = make_form("jw", dim)
         return SymplecticMap(W.mul(m).mul(W), "majorana")
-    return SymplecticMap(m, "pauli")
+    return SymplecticMap(m, basis)  # rejects any basis but pauli
 
 
 def sample_symplectic(dim: int, index: int, basis: str = "pauli") -> SymplecticMap:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,13 @@ class TestFrame:
         code, out, _ = run(capsys, "frame", "--group", "sp", "--dim", "2", "--t", "4", "--exact")
         assert code == 0 and json.loads(out)["value"] == 15
 
+    def test_restricted_odd_dim_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "frame", "--group", "o", "--dim", "5", "--t", "3",
+            "--exact", "--parity-restricted",
+        )
+        assert code == 1 and out == "" and "N even" in err
+
 
 def strict_json(text):
     """json.loads that rejects NaN and +-Infinity."""
@@ -244,6 +252,22 @@ class TestOrbits:
             capsys, "orbits", "--group", "sp", "--dim", "4", "--space", "even-quotient"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "10000000"),
+            ("--group", "o", "--dim", "4", "--tuple-order", "100000000"),
+            ("--group", "sp", "--dim", "16"),
+        ],
+    )
+    def test_oversize_request_exits_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbits", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "cap" in err or "budget" in err
+        assert len(err) < 200  # names the limit, not a giant tuple count
 
 
 class TestVerify:

@@ -119,6 +119,14 @@ class TestFramePotential:
         with pytest.raises(ValueError):
             _potential("symplectic", 4, 2, True, "exact", 10**7, None, 10)
 
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7])
+    def test_parity_restriction_needs_even_dim(self, dim):
+        # at odd dim the all-ones vector is odd, so there is no even quotient
+        with pytest.raises(ValueError, match="N even"):
+            parity_frame_potential(dim, 3)
+        with pytest.raises(ValueError, match="N even"):
+            parity_frame_potential(dim, 3, mode="monte_carlo", seed=1, samples=10)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             frame_potential("orthogonal", 4, 0)
@@ -206,6 +214,20 @@ class TestOrbits:
             orbit_decomposition(4, 9, "orthogonal")
         with pytest.raises(ValueError):
             orbit_decomposition(5, 1, "orthogonal", "even_quotient")
+
+    @pytest.mark.parametrize(
+        "dim, k, group, space",
+        [
+            (2, 17, "orthogonal", "even_quotient"),  # one point, tuple order > 16
+            (4, 5, "orthogonal", "full"),  # 2^20 tuples
+            (18, 1, "orthogonal", "even_quotient"),  # 2^16 tuples, 3213 generators
+            (16, 1, "symplectic", "full"),  # 2^16 tuples, 2^16 - 1 generators
+            (8, 3, "symplectic", "full"),  # 255 generators on 2^24 tuples
+        ],
+    )
+    def test_work_limits(self, dim, k, group, space):
+        with pytest.raises(ValueError, match=r"2\^(16|24)"):
+            orbit_decomposition(dim, k, group, space)
 
 
 class TestQuotientAction:

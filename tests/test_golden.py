@@ -9,10 +9,11 @@ the same random numbers in the same order.
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from pclifford.design import frame_potential, parity_frame_potential
+from pclifford.design import frame_potential, orbit_decomposition, parity_frame_potential
 from pclifford.group import (
     decompose_orthogonal,
     group_order,
@@ -171,3 +172,87 @@ def test_orthogonal_order_matches_closed_forms(dim):
 @pytest.mark.parametrize("dim", range(2, 65, 2))
 def test_symplectic_order_matches_closed_form(dim):
     assert group_order("symplectic", dim) == _symplectic_order_closed_form(dim)
+
+
+# ---------------------------------------------------------------------------
+# exact potentials, the order of the Monte Carlo float sums and orbit sizes,
+# pinned on the implementation that computed each mode in its own loop; the
+# O(8) pair orbits are also the largest request the orbit work budget admits
+
+EXACT_POTENTIALS = {
+    ("orthogonal", 1, False): ("1", "2", "4", "8"),
+    ("orthogonal", 2, False): ("1", "3", "10", "36"),
+    ("orthogonal", 3, False): ("1", "4", "20", "120"),
+    ("orthogonal", 4, False): ("1", "4", "23", "190"),
+    ("orthogonal", 5, False): ("1", "4", "24", "232"),
+    ("orthogonal", 6, False): ("1", "4", "24", "239"),
+    ("orthogonal", 2, True): ("1", "1", "1", "1"),
+    ("orthogonal", 4, True): ("1", "2", "5", "15"),
+    ("orthogonal", 6, True): ("1", "2", "6", "29"),
+    ("symplectic", 2, False): ("1", "2", "5", "15"),
+    ("symplectic", 4, False): ("1", "2", "6", "29"),
+}
+
+
+@pytest.mark.parametrize("kind, dim, restricted", sorted(EXACT_POTENTIALS))
+def test_exact_potentials(kind, dim, restricted):
+    if restricted:
+        got = [parity_frame_potential(dim, t).value for t in range(1, 5)]
+    else:
+        got = [frame_potential(kind, dim, t).value for t in range(1, 5)]
+    assert tuple(map(str, got)) == EXACT_POTENTIALS[kind, dim, restricted]
+
+
+def test_exact_potential_orthogonal_7():
+    # one enumeration of O(7) (1451520 elements) takes tens of seconds,
+    # so only the largest order is pinned; t = 1..3 read 1, 4, 24
+    assert str(frame_potential("orthogonal", 7, 4).value) == "240"
+
+
+MC_LARGE = {
+    1: ("51323544.10666667", "22901283.045428168"),
+    2: ("17217491.584", "11472162.065483276"),
+    3: ("39127230.848", "19838143.339997374"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MC_LARGE))
+def test_monte_carlo_sums_in_sample_order(seed):
+    """O(8) at t = 8: summands reach 2^56, so the float sums are not exact
+    and their value depends on the order of the additions."""
+    rep = frame_potential("orthogonal", 8, 8, mode="monte_carlo", seed=seed, samples=3000)
+    assert (repr(rep.estimate), repr(rep.std_error)) == MC_LARGE[seed]
+
+
+# every orbit case of perfbench/workloads.py: {orbit size: multiplicity}
+ORBIT_SIZES = {
+    ("orthogonal", 4, "full", 1): {1: 2, 6: 1, 8: 1},
+    ("orthogonal", 4, "full", 2): {1: 4, 6: 6, 8: 6, 24: 7},
+    ("orthogonal", 4, "even_quotient", 1): {1: 1, 3: 1},
+    ("orthogonal", 4, "even_quotient", 2): {1: 1, 3: 3, 6: 1},
+    ("orthogonal", 4, "even_quotient", 3): {1: 1, 3: 7, 6: 7},
+    ("orthogonal", 6, "full", 1): {1: 2, 30: 1, 32: 1},
+    ("orthogonal", 6, "full", 2): {1: 4, 30: 6, 32: 6, 360: 1, 480: 7},
+    ("orthogonal", 6, "even_quotient", 1): {1: 1, 15: 1},
+    ("orthogonal", 6, "even_quotient", 2): {1: 1, 15: 3, 90: 1, 120: 1},
+    ("orthogonal", 6, "even_quotient", 3): {1: 1, 15: 7, 90: 7, 120: 7, 360: 7},
+    ("orthogonal", 8, "full", 1): {1: 2, 126: 1, 128: 1},
+    ("orthogonal", 8, "full", 2): {1: 4, 126: 6, 128: 6, 7560: 1, 8064: 7},
+    ("orthogonal", 8, "even_quotient", 1): {1: 1, 63: 1},
+    ("orthogonal", 8, "even_quotient", 2): {1: 1, 63: 3, 1890: 1, 2016: 1},
+    ("symplectic", 2, "full", 1): {1: 1, 3: 1},
+    ("symplectic", 2, "full", 2): {1: 1, 3: 3, 6: 1},
+    ("symplectic", 2, "full", 3): {1: 1, 3: 7, 6: 7},
+    ("symplectic", 4, "full", 1): {1: 1, 15: 1},
+    ("symplectic", 4, "full", 2): {1: 1, 15: 3, 90: 1, 120: 1},
+    ("symplectic", 4, "full", 3): {1: 1, 15: 7, 90: 7, 120: 7, 360: 7},
+    ("symplectic", 6, "full", 1): {1: 1, 63: 1},
+    ("symplectic", 6, "full", 2): {1: 1, 63: 3, 1890: 1, 2016: 1},
+    ("symplectic", 8, "full", 1): {1: 1, 255: 1},
+}
+
+
+@pytest.mark.parametrize("group, dim, space, k", sorted(ORBIT_SIZES))
+def test_orbit_sizes(group, dim, space, k):
+    want = sorted(Counter(ORBIT_SIZES[group, dim, space, k]).elements())
+    assert orbit_decomposition(dim, k, group, space) == want

@@ -266,6 +266,13 @@ class TestSampleSymplectic:
         for _ in range(20):
             sample_symplectic_random(6, rng, "majorana")  # constructor validates
 
+    @pytest.mark.parametrize("basis", ["bogus", "Pauli", ""])
+    def test_unknown_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="basis"):
+            sample_symplectic(4, 7, basis)
+        with pytest.raises(ValueError, match="basis"):
+            sample_symplectic_random(4, 7, basis)
+
 
 class TestDecomposeOrthogonal:
     def test_identity_gives_empty_word(self):

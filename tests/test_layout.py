@@ -53,3 +53,30 @@ def test_guard_detects_private_imports(tmp_path):
         "from .f2core import BitMatrix\n"
     )
     assert [line for line, _ in private_imports(probe)] == [1, 2]
+
+
+def call_sites(path, name):
+    """Line numbers of the calls to a bare name in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    ]
+
+
+def test_design_builds_group_elements_at_one_site():
+    """Exact and Monte Carlo potentials share one stream of exponents."""
+    assert len(call_sites(SRC / "design.py", "group_rows")) == 1
+
+
+def test_call_site_guard_counts_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .group import group_rows\n"
+        "a = group_rows('orthogonal', 2, [0])\n"
+        "b = [group_rows(k, 2, p) for k, p in []]\n"
+        "c = group_rows\n"
+    )
+    assert call_sites(probe, "group_rows") == [2, 3]
