@@ -3,7 +3,7 @@
 The bit convention is the one of f2core: entry i of a length-n vector
 sits at bit position n - i, so the row of a packed matrix addressed by
 bit position p is rows[n - 1 - p].  Every set-bit loop of the package
-lives here, except the majorana cross term of strings._cross_lower.
+lives here.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ def eta_swap(x: int, n: int) -> int:
 def symp_pauli(a: int, b: int, n: int) -> int:
     """Pauli symplectic product a^T eta b on packed vectors."""
     return (a & eta_swap(b, n)).bit_count() & 1
+
+
+def prefix_parity(x: int) -> int:
+    """Bit p: the parity of x at p and above, in log2 n shift-XOR steps."""
+    shift = 1
+    while shift < x.bit_length():
+        x ^= x >> shift
+        shift <<= 1
+    return x
 
 
 def gather(rows, x: int, n: int) -> int:

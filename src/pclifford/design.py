@@ -138,6 +138,10 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # ---------------------------------------------------------------------------
 # the exponent stream and the potentials
 
+# e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
+# bits keep the exact value within the 4300 digits Python prints
+_EXACT_BITS = 1 << 13
+
 
 def _potential(
     kind: str,
@@ -155,6 +159,11 @@ def _potential(
     if restricted and (kind != "orthogonal" or dim % 2):
         raise ValueError("parity restriction needs O(N) with N even")
     if mode == "exact":
+        if dim * (t - 1) > _EXACT_BITS:
+            raise ValueError(
+                f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
+                f"of {_EXACT_BITS} bits per summand"
+            )
         order = group_order(kind, dim)
         if order > budget:
             raise ValueError(
@@ -265,6 +274,8 @@ def orbit_decomposition(
     tuple order of at most 16, and at most 2^24 for generators x tuples
     x tuple order.
     """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
     if tuple_order < 1:
         raise ValueError("tuple order must be >= 1")
     if space not in ("full", "even_quotient"):

@@ -1,27 +1,25 @@
 """Phase-exact algebra of Majorana and Pauli strings.
 
 A string is a pair (phase exponent, F2 vector) with a basis tag.  The
-phase is an exponent of i, kept mod 4, never a float.  Composition
-multiplies the underlying operators exactly:
+phase is an exponent of i, kept mod 4, never a float.  The basis string
+labeled by v is mu(v) = i**q(v) g_k1 ... g_km, the ordered product of
+the generators at the entries k1 < ... < km set in v, with q(v) = v^T L v
+and L the strictly lower triangle of the commutation form (omega for
+Majorana labels, eta for Pauli labels).  The generators square to one
+and anticommute exactly where the form has a one, so bringing g_v g_w
+back to order costs (-1)**(v^T L w) and composition is exact:
 
-    mu(v) mu(w) = zeta(v, w) mu(v + w)
+    mu(v) mu(w) = i**zeta(v, w) mu(v + w),
+    zeta(v, w) = 2 v^T L w + q(v) + q(w) - q(v + w)  (mod 4).
 
-with zeta(v, w) = (-1)**(v^T L w + f(v, w)) * i**<v, w>, where L is the
-strictly lower triangular part of the commutation form, <.,.> is the
-symplectic product, and f is the symmetric correction
-
-    f(v, w) = q(v) q(w) + <v, w> (q(v) + q(w) + 1),  q(u) = u^T L u.
-
-The same shape works in both bases, with (omega_lower, omega) for
-Majorana labels and (eta_lower, eta) for Pauli labels.  Dense fidelity
-of all of this is pinned down in the oracle module.
+Dense fidelity of all of this is pinned down in the oracle module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import pair_mask
+from ._bits import pair_mask, prefix_parity
 from .f2core import BitVec, make_form, symp_product
 
 __all__ = [
@@ -62,31 +60,19 @@ class MajoranaString:
         return format_string(self)
 
 
+def _lower(v: BitVec, w: BitVec, basis: str) -> int:
+    """v^T L w, one packed kernel per form: for omega_lower each entry of v
+    meets the parity of w before it, for eta_lower entry 2k meets 2k - 1."""
+    if basis == "majorana":
+        return (v.bits & (prefix_parity(w.bits) >> 1)).bit_count() & 1
+    if basis == "pauli":
+        return (v.bits & (w.bits >> 1) & pair_mask(v.n)).bit_count() & 1
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def quad_lower(v: BitVec, basis: str = "majorana") -> int:
     """q(v) = v^T L v with L the strictly lower triangle of the form."""
-    if basis == "majorana":
-        w = v.bits.bit_count()
-        return (w * (w - 1) // 2) & 1
-    if basis == "pauli":
-        both = v.bits & (v.bits >> 1) & pair_mask(v.n)
-        return both.bit_count() & 1
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def _cross_lower(v: BitVec, w: BitVec, basis: str) -> int:
-    """v^T L w, exploiting the prefix structure of both forms."""
-    if basis == "majorana":
-        acc = 0
-        x = v.bits
-        while x:
-            p = (x & -x).bit_length() - 1
-            acc ^= (w.bits >> (p + 1)).bit_count() & 1
-            x &= x - 1
-        return acc
-    if basis == "pauli":
-        hit = v.bits & (w.bits >> 1) & pair_mask(v.n)
-        return hit.bit_count() & 1
-    raise ValueError(f"unknown basis {basis!r}")
+    return _lower(v, v, basis)
 
 
 def zeta_coeff(v: BitVec, w: BitVec, basis: str = "majorana") -> int:
@@ -95,12 +81,8 @@ def zeta_coeff(v: BitVec, w: BitVec, basis: str = "majorana") -> int:
         raise ValueError("length mismatch")
     if v.n % 2:
         raise ValueError("string labels have even length")
-    s = symp_product(v, w, basis)
-    qv = quad_lower(v, basis)
-    qw = quad_lower(w, basis)
-    cross = _cross_lower(v, w, basis)
-    f = (qv & qw) ^ (s & (qv ^ qw ^ 1))
-    return (2 * ((cross ^ f) & 1) + s) % 4
+    q = quad_lower(v, basis) + quad_lower(w, basis) - quad_lower(v ^ w, basis)
+    return (2 * _lower(v, w, basis) + q) % 4
 
 
 def compose(s1: MajoranaString, s2: MajoranaString) -> MajoranaString:

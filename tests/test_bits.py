@@ -1,13 +1,23 @@
 """Packed-int kernels against the loop implementations they replaced."""
 
+import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclifford._bits import eta_swap, gather, pair_mask, rank_one, scatter, symp_pauli
-from pclifford.f2core import BitMatrix, BitVec
-from pclifford.strings import quad_lower
+from pclifford._bits import (
+    eta_swap,
+    gather,
+    pair_mask,
+    prefix_parity,
+    rank_one,
+    scatter,
+    symp_pauli,
+)
+from pclifford.f2core import BitMatrix, BitVec, symp_product
+from pclifford.strings import _lower, quad_lower, zeta_coeff
 
 MAX_LEN = 300
 
@@ -64,6 +74,27 @@ def ref_apply_transvection_rows(rows, h, dim):
         x &= x - 1
 
 
+def ref_cross_lower(v, w):
+    """v^T L w for the majorana form, one shift and popcount per set bit."""
+    acc = 0
+    x = v.bits
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= (w.bits >> (p + 1)).bit_count() & 1
+        x &= x - 1
+    return acc
+
+
+def ref_prefix_parity(x, n):
+    """Bit by bit: bit p is the parity of the bits of x at p and above."""
+    out = 0
+    acc = 0
+    for p in range(n - 1, -1, -1):
+        acc ^= (x >> p) & 1
+        out |= acc << p
+    return out
+
+
 def dense(m):
     return np.array(
         [[int(ch) for ch in format(r, f"0{m.cols}b")] for r in m.data], dtype=np.int64
@@ -114,6 +145,44 @@ def test_pauli_quad_lower_matches_string_mask(n, seed):
     (x,) = words(seed, n, 1)
     _, lo = ref_masks(n)
     assert quad_lower(BitVec(n, x), "pauli") == (x & (x >> 1) & lo).bit_count() & 1
+
+
+def check_prefix_parity(n, seed):
+    for x in words(seed, n, 4):
+        assert prefix_parity(x) == ref_prefix_parity(x, n)
+
+
+def check_majorana_lower(n, seed):
+    v, w = (BitVec(n, x) for x in words(seed, n, 2))
+    assert _lower(v, w, "majorana") == ref_cross_lower(v, w)
+    assert _lower(v, v, "majorana") == ref_cross_lower(v, v)
+    # the closed form it replaced: q(v) = C(|v|, 2) mod 2, at odd lengths too
+    assert quad_lower(v) == (v.weight * (v.weight - 1) // 2) & 1
+
+
+@given(lengths, seeds)
+def test_prefix_parity_matches_bit_loop(n, seed):
+    check_prefix_parity(n, seed)
+
+
+@given(lengths, seeds)
+def test_majorana_lower_matches_loop(n, seed):
+    check_majorana_lower(n, seed)
+
+
+# seeded cases at lengths the hypothesis range does not reach
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (1024, 8192) for seed in range(3)])
+def test_kernels_match_loops_at_large_lengths(n, seed):
+    check_prefix_parity(n, seed)
+    check_majorana_lower(n, seed)
+
+
+@pytest.mark.parametrize("basis", ["majorana", "pauli"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_zeta_is_the_symplectic_product_mod_2(basis, n):
+    labels = [BitVec(n, x) for x in range(1 << n)]
+    for v, w in itertools.product(labels, repeat=2):
+        assert zeta_coeff(v, w, basis) % 2 == symp_product(v, w, basis)
 
 
 @settings(max_examples=60, deadline=None)

@@ -196,6 +196,13 @@ class TestFrame:
         )
         assert code == 1 and out == "" and "N even" in err
 
+    @pytest.mark.parametrize("t", ["100000000000000000000", "5000"])
+    def test_exact_bit_cap_exits_quickly(self, capsys, t):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frame", "--group", "o", "--dim", "4", "--t", t, "--exact")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "cap of 8192 bits" in err
+
 
 def strict_json(text):
     """json.loads that rejects NaN and +-Infinity."""
@@ -252,6 +259,11 @@ class TestOrbits:
             capsys, "orbits", "--group", "sp", "--dim", "4", "--space", "even-quotient"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_dimension_must_be_positive(self, capsys, dim):
+        code, out, err = run(capsys, "orbits", "--group", "o", "--dim", dim)
+        assert code == 1 and out == "" and "dimension must be >= 1" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -135,6 +135,20 @@ class TestFramePotential:
         with pytest.raises(ValueError):
             frame_potential("unitary", 4, 2)
 
+    def test_exact_bit_cap(self):
+        # dim (t - 1) bounds the bits of each summand 2^(e(t - 1))
+        for call in (
+            lambda: frame_potential("orthogonal", 4, 10**20),
+            lambda: frame_potential("orthogonal", 4, 5000),
+            lambda: parity_frame_potential(4, 5000),
+            lambda: frame_potential("orthogonal", 1, 8194),
+        ):
+            with pytest.raises(ValueError, match="cap of 8192 bits"):
+                call()
+        # the edge is admitted and prints within the interpreter's digit limit
+        assert frame_potential("orthogonal", 1, 8193).value == 2**8192
+        assert len(str(frame_potential("orthogonal", 4, 2049).value)) < 4300
+
     def test_json_exact_integer(self):
         rep = parity_frame_potential(4, 3)
         payload = json.loads(rep.to_json())
@@ -214,6 +228,11 @@ class TestOrbits:
             orbit_decomposition(4, 9, "orthogonal")
         with pytest.raises(ValueError):
             orbit_decomposition(5, 1, "orthogonal", "even_quotient")
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dimension_must_be_positive(self, dim):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            orbit_decomposition(dim, 1, "orthogonal")
 
     @pytest.mark.parametrize(
         "dim, k, group, space",

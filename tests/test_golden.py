@@ -14,7 +14,9 @@ from collections import Counter
 import pytest
 
 from pclifford.design import frame_potential, orbit_decomposition, parity_frame_potential
+from pclifford.f2core import BitVec
 from pclifford.group import (
+    braid_action,
     decompose_orthogonal,
     group_order,
     sample_orthogonal,
@@ -28,6 +30,7 @@ from pclifford.stabilizer import (
     stab_clifford,
     transform_isotropic,
 )
+from pclifford.strings import MajoranaString, compose, quad_lower, zeta_coeff
 
 ORTHOGONAL_DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 64, 256)
 SYMPLECTIC_DIMS = (2, 4, 6, 192)
@@ -256,3 +259,83 @@ ORBIT_SIZES = {
 def test_orbit_sizes(group, dim, space, k):
     want = sorted(Counter(ORBIT_SIZES[group, dim, space, k]).elements())
     assert orbit_decomposition(dim, k, group, space) == want
+
+
+# ---------------------------------------------------------------------------
+# the string layer: composition coefficients, the quadratic form, products
+# and braid conjugation on seeded labels, pinned on the implementation that
+# summed a cross term, a symmetric correction and the symplectic product
+
+STRING_LENGTHS = (2, 6, 64, 1024, 8192)
+# quad_lower is public at odd lengths too
+QUAD_LENGTHS = STRING_LENGTHS + (1, 3, 7, 65, 1025)
+
+
+def _string_rng(n: int, basis: str) -> random.Random:
+    return random.Random(4 * n + ("majorana", "pauli").index(basis))
+
+
+def _string_count(n: int) -> int:
+    return 64 if n <= 64 else 8
+
+
+def _labels(n: int, basis: str) -> list[BitVec]:
+    rng = _string_rng(n, basis)
+    return [BitVec(n, rng.getrandbits(n)) for _ in range(2 * _string_count(n))]
+
+
+def _zeta_items():
+    for basis in ("majorana", "pauli"):
+        for n in STRING_LENGTHS:
+            labels = _labels(n, basis)
+            for v, w in zip(labels[::2], labels[1::2]):
+                yield basis, n, zeta_coeff(v, w, basis), zeta_coeff(w, v, basis)
+
+
+def _quad_items():
+    for basis in ("majorana", "pauli"):
+        for n in QUAD_LENGTHS:
+            rng = _string_rng(n, basis)
+            for _ in range(_string_count(n)):
+                yield basis, n, quad_lower(BitVec(n, rng.getrandbits(n)), basis)
+
+
+def _compose_items():
+    for basis in ("majorana", "pauli"):
+        for n in STRING_LENGTHS:
+            labels = _labels(n, basis)
+            for k, (v, w) in enumerate(zip(labels[::2], labels[1::2])):
+                s1 = MajoranaString(k, v, basis)
+                s2 = MajoranaString(3 * k + 1, w, basis)
+                yield basis, n, repr(compose(s1, s2)), repr(compose(s2, s1))
+
+
+def _braid_items():
+    for basis in ("majorana", "pauli"):
+        for n in STRING_LENGTHS:
+            labels = _labels(n, basis)
+            for k, (a, v) in enumerate(zip(labels[::2], labels[1::2])):
+                even = BitVec(n, a.bits ^ (a.bits.bit_count() & 1))
+                s = MajoranaString(k, v, basis)
+                yield basis, n, repr(braid_action(even, s))
+                yield basis, n, repr(braid_action(a, s, allow_odd=True))
+
+
+STRING_GOLDEN = {
+    "zeta_coeff": "9730a8b85ef308b1f33c8e188c7c756b562485e2279935308328f6c27a27c36e",
+    "quad_lower": "d3e7a215980e3427d33e6b57dfb139731141404cf964f3beb007e51be3274cb6",
+    "compose": "b9d098ef090e5a6d72294dbfa0e30fd74a2d08b246c4c41b79872a112ddc47cf",
+    "braid_action": "cfda1947702646c8e96ffe70185a92a908266bc286ee804a32699bd760c8b432",
+}
+
+STRING_ITEMS = {
+    "zeta_coeff": _zeta_items,
+    "quad_lower": _quad_items,
+    "compose": _compose_items,
+    "braid_action": _braid_items,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_GOLDEN))
+def test_string_golden_digest(name):
+    assert _digest(STRING_ITEMS[name]()) == STRING_GOLDEN[name]

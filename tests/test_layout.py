@@ -1,4 +1,4 @@
-"""Module layout: private helpers are shared only through the _bits module."""
+"""Module layout: private helpers and set-bit loops live in the _bits module."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,44 @@ def test_call_site_guard_counts_calls(tmp_path):
         "c = group_rows\n"
     )
     assert call_sites(probe, "group_rows") == [2, 3]
+
+
+def set_bit_loops(path):
+    """Line numbers of each `x &= x - 1`, the step of a set-bit loop."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.target, ast.Name)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Sub)
+        and isinstance(node.value.left, ast.Name)
+        and node.value.left.id == node.target.id
+        and isinstance(node.value.right, ast.Constant)
+        and node.value.right.value == 1
+    )
+
+
+def test_set_bit_loops_only_in_bits():
+    offenders = {
+        path.name: set_bit_loops(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != SHARED and set_bit_loops(path)
+    }
+    assert offenders == {}
+    assert set_bit_loops(SRC / f"{SHARED}.py")
+
+
+def test_set_bit_loop_guard_finds_the_step(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(x, y):\n"
+        "    while x:\n"
+        "        x &= x - 1\n"
+        "    y &= x - 1\n"
+        "    x &= x - 2\n"
+        "    x ^= x - 1\n"
+        "    x &= x - 1\n"
+    )
+    assert set_bit_loops(probe) == [3, 7]
