@@ -4,6 +4,11 @@ The bit convention is the one of f2core: entry i of a length-n vector
 sits at bit position n - i, so the row of a packed matrix addressed by
 bit position p is rows[n - 1 - p].  Every set-bit loop of the package
 lives here.
+
+The Jordan-Wigner matrix W (make_form("jw", n), the dense reference) has
+row i equal to the ones at j >= i less i's pair partner, so W x, x^T W
+and W M W are prefix parities plus a pair correction: O(n log n) bit
+work for a vector, one pass over the rows for a matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +41,31 @@ def prefix_parity(x: int) -> int:
         x ^= x >> shift
         shift <<= 1
     return x
+
+
+def jw_col(x: int, n: int) -> int:
+    """W x: entry i is the parity of x at i and after, less x_(i+1) for odd i."""
+    total = (1 << n) - 1 if x.bit_count() & 1 else 0
+    return (prefix_parity(x) >> 1) ^ total ^ ((x & pair_mask(n)) << 1)
+
+
+def jw_row(x: int, n: int) -> int:
+    """x^T W: entry j is the parity of x at j and before, less x_(j-1) for even j."""
+    return prefix_parity(x) ^ ((x >> 1) & pair_mask(n))
+
+
+def jw_conjugate(rows, n: int) -> list[int]:
+    """W M W on packed rows: x^T W per row, then one suffix XOR up the rows
+    (row i of W M is the XOR of rows j >= i, less row i + 1 for odd i)."""
+    mw = [jw_row(r, n) for r in rows]
+    out = [0] * n
+    acc = 0
+    for k in range(n - 1, -1, -1):
+        acc ^= mw[k]
+        out[k] = acc
+    for k in range(0, n - 1, 2):
+        out[k] ^= mw[k + 1]
+    return out
 
 
 def gather(rows, x: int, n: int) -> int:

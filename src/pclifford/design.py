@@ -143,6 +143,19 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 _EXACT_BITS = 1 << 13
 
 
+def _exact_refusal(kind: str, dim: int, t: int, budget: int) -> Optional[str]:
+    """Why exact mode refuses a request, or None when it takes it."""
+    if dim * (t - 1) > _EXACT_BITS:
+        return (
+            f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
+            f"of {_EXACT_BITS} bits per summand"
+        )
+    order = group_order(kind, dim)
+    if order > budget:
+        return f"group order {order} exceeds the exact-mode budget {budget}"
+    return None
+
+
 def _potential(
     kind: str,
     dim: int,
@@ -159,16 +172,10 @@ def _potential(
     if restricted and (kind != "orthogonal" or dim % 2):
         raise ValueError("parity restriction needs O(N) with N even")
     if mode == "exact":
-        if dim * (t - 1) > _EXACT_BITS:
-            raise ValueError(
-                f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
-                f"of {_EXACT_BITS} bits per summand"
-            )
+        refusal = _exact_refusal(kind, dim, t, budget)
+        if refusal:
+            raise ValueError(refusal)
         order = group_order(kind, dim)
-        if order > budget:
-            raise ValueError(
-                f"group order {order} exceeds the exact-mode budget {budget}"
-            )
         picks = itertools.product(*map(range, sizes))
     elif mode == "monte_carlo":
         if samples < 1:
@@ -185,16 +192,19 @@ def _potential(
         )
     acc = 0.0
     acc_sq = 0.0
-    overflow = f"Monte Carlo sums at t={t} overflow a float; use exact mode (--exact)"
     try:
         for e in stream:
             x = 2.0 ** (e * (t - 1))
             acc += x
             acc_sq += x * x
-    except OverflowError as exc:
-        raise ValueError(overflow) from exc
-    if not (math.isfinite(acc) and math.isfinite(acc_sq)):
-        raise ValueError(overflow)
+        finite = math.isfinite(acc) and math.isfinite(acc_sq)
+    except OverflowError:
+        finite = False
+    if not finite:
+        # point at --exact only where exact mode takes the request
+        refusal = _exact_refusal(kind, dim, t, budget)
+        hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
+        raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples
     se = None  # undefined for a single sample
     if samples > 1:

@@ -33,7 +33,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ._bits import eta_swap, householder_pair, rank_one, symp_pauli, top_bit
+from ._bits import (
+    eta_swap,
+    householder_pair,
+    jw_conjugate,
+    rank_one,
+    symp_pauli,
+    top_bit,
+)
 from .f2core import (
     BitMatrix,
     BitVec,
@@ -343,11 +350,10 @@ def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:
 
 
 def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
-    m = BitMatrix(dim, dim, tuple(rows))
     if basis == "majorana":
-        W = make_form("jw", dim)
-        return SymplecticMap(W.mul(m).mul(W), "majorana")
-    return SymplecticMap(m, basis)  # rejects any basis but pauli
+        rows = jw_conjugate(rows, dim)  # W M W: the same map on Majorana labels
+    # SymplecticMap rejects any other basis
+    return SymplecticMap(BitMatrix(dim, dim, tuple(rows)), basis)
 
 
 def sample_symplectic(dim: int, index: int, basis: str = "pauli") -> SymplecticMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import pair_mask, prefix_parity
+from ._bits import jw_col, pair_mask, prefix_parity
 from .f2core import BitVec, make_form, symp_product
 
 __all__ = [
@@ -104,12 +104,15 @@ def commutes(s1: MajoranaString, s2: MajoranaString) -> bool:
 def jordan_wigner_map(s: MajoranaString) -> MajoranaString:
     """Relabel v -> W v and flip the basis tag; involutive.
 
-    The identification is at the level of vector labels; dense phase
-    fidelity is the oracle module's business.
+    W = make_form("jw", 2n) has row i equal to the ones at j >= i less
+    i's pair partner, so (W v)_i = v_i + v_(i+1) + ... + v_2n, less
+    v_(i+1) when i is odd: a prefix parity plus a pair correction,
+    computed on the packed label without building W.  The identification
+    is at the level of vector labels; dense phase fidelity is the oracle
+    module's business.
     """
-    W = make_form("jw", s.v.n)
     other = "pauli" if s.basis == "majorana" else "majorana"
-    return MajoranaString(s.phase, W.mulvec(s.v), other)
+    return MajoranaString(s.phase, BitVec(s.v.n, jw_col(s.v.bits, s.v.n)), other)
 
 
 def parity_operator(n: int) -> MajoranaString:

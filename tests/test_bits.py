@@ -1,6 +1,8 @@
 """Packed-int kernels against the loop implementations they replaced."""
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -10,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 from pclifford._bits import (
     eta_swap,
     gather,
+    jw_col,
+    jw_conjugate,
+    jw_row,
     pair_mask,
     prefix_parity,
     rank_one,
     scatter,
     symp_pauli,
 )
-from pclifford.f2core import BitMatrix, BitVec, symp_product
-from pclifford.strings import _lower, quad_lower, zeta_coeff
+from pclifford.f2core import BitMatrix, BitVec, make_form, symp_product
+from pclifford.strings import MajoranaString, _lower, jordan_wigner_map, quad_lower, zeta_coeff
 
 MAX_LEN = 300
 
@@ -241,3 +246,67 @@ def test_mul_matches_dense(shape, seed):
 def test_transpose_matches_dense(r, c, seed):
     A = BitMatrix(r, c, tuple(words(seed, c, r)))
     assert A.transpose().data == packed(dense(A).T)
+
+
+# ---------------------------------------------------------------------------
+# the Jordan-Wigner relabeling against the dense reference make_form("jw")
+
+
+even_lengths = st.integers(1, MAX_LEN // 2).map(lambda k: 2 * k)
+
+
+def check_jw_vectors(n, seed):
+    W = make_form("jw", n)
+    for x in words(seed, n, 4):
+        assert jw_col(x, n) == W.mulvec(BitVec(n, x)).bits
+        # x^T W: the XOR of the rows of W that x selects
+        rows = (row for i, row in enumerate(W.data) if (x >> (n - 1 - i)) & 1)
+        assert jw_row(x, n) == functools.reduce(operator.xor, rows, 0)
+        assert jw_col(jw_col(x, n), n) == x
+
+
+def check_jordan_wigner_map(n, seed):
+    W = make_form("jw", n)
+    for k, x in enumerate(words(seed, n, 2)):
+        for basis, other in (("majorana", "pauli"), ("pauli", "majorana")):
+            s = MajoranaString(k, BitVec(n, x), basis)
+            t = jordan_wigner_map(s)
+            assert t == MajoranaString(k, W.mulvec(s.v), other)
+            assert jordan_wigner_map(t) == s
+
+
+@given(even_lengths, seeds)
+def test_jw_vector_kernels_match_matrix(n, seed):
+    check_jw_vectors(n, seed)
+    Wt = make_form("jw", n).transpose()
+    for x in words(seed + 1, n, 2):
+        assert jw_row(x, n) == Wt.mulvec(BitVec(n, x)).bits
+
+
+@given(even_lengths, seeds)
+def test_jordan_wigner_map_matches_matrix(n, seed):
+    check_jordan_wigner_map(n, seed)
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (1024, 8192) for seed in range(2)])
+def test_jw_kernels_match_matrix_at_large_lengths(n, seed):
+    check_jw_vectors(n, seed)
+    check_jordan_wigner_map(n, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_lengths, seeds)
+def test_jw_conjugate_matches_matrix_products(n, seed):
+    W = make_form("jw", n)
+    M = BitMatrix(n, n, tuple(words(seed, n, n)))
+    assert tuple(jw_conjugate(M.data, n)) == W.mul(M).mul(W).data
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_jw_conjugate_on_every_unit_matrix(n):
+    W = make_form("jw", n)
+    for i, p in itertools.product(range(n), range(n)):
+        rows = [0] * n
+        rows[i] = 1 << p
+        M = BitMatrix(n, n, tuple(rows))
+        assert tuple(jw_conjugate(rows, n)) == W.mul(M).mul(W).data

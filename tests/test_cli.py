@@ -230,6 +230,23 @@ class TestFrameJsonValidity:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "--exact" in err
 
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_overflow_past_the_exact_cap_does_not_point_at_exact(self, capsys, restricted):
+        # dim x (t - 1) = 19996 > 8192: exact mode refuses this request too
+        argv = ["frame", "--group", "o", "--dim", "4", "--t", "5000", "--samples", "10"]
+        if restricted:
+            argv.append("--parity-restricted")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "--exact" not in err and "cap of 8192 bits" in err
+
+    def test_overflow_past_the_exact_budget_does_not_point_at_exact(self, capsys):
+        # dim x (t - 1) = 1592 is under the cap, but |O(8)| exceeds the budget
+        argv = ["frame", "--group", "o", "--dim", "8", "--t", "200", "--samples", "10"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "--exact" not in err and "exact-mode budget" in err
+
     def test_library_json_refuses_non_finite(self):
         from pclifford.design import FramePotentialReport
 

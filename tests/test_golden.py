@@ -30,7 +30,13 @@ from pclifford.stabilizer import (
     stab_clifford,
     transform_isotropic,
 )
-from pclifford.strings import MajoranaString, compose, quad_lower, zeta_coeff
+from pclifford.strings import (
+    MajoranaString,
+    compose,
+    jordan_wigner_map,
+    quad_lower,
+    zeta_coeff,
+)
 
 ORTHOGONAL_DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 64, 256)
 SYMPLECTIC_DIMS = (2, 4, 6, 192)
@@ -339,3 +345,19 @@ STRING_ITEMS = {
 @pytest.mark.parametrize("name", sorted(STRING_GOLDEN))
 def test_string_golden_digest(name):
     assert _digest(STRING_ITEMS[name]()) == STRING_GOLDEN[name]
+
+
+# the Jordan-Wigner relabeling of seeded strings in both bases, pinned on
+# the implementation that multiplied by the dense make_form("jw") matrix
+JW_GOLDEN = "c7e550a4dc2da963d443a4b8f07bab8b83d860a161474c893944b81bbcdd20b0"
+
+
+def _jw_items():
+    for basis in ("majorana", "pauli"):
+        for n in STRING_LENGTHS:
+            for k, v in enumerate(_labels(n, basis)):
+                yield basis, n, repr(jordan_wigner_map(MajoranaString(k, v, basis)))
+
+
+def test_jordan_wigner_golden_digest():
+    assert _digest(_jw_items()) == JW_GOLDEN

@@ -1,4 +1,5 @@
-"""Module layout: private helpers and set-bit loops live in the _bits module."""
+"""Module layout: private helpers and set-bit loops live in the _bits module,
+and only the reference layers build the dense Jordan-Wigner matrix."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,47 @@ def test_set_bit_loop_guard_finds_the_step(tmp_path):
         "    x &= x - 1\n"
     )
     assert set_bit_loops(probe) == [3, 7]
+
+
+# the dense W stays the independent reference of the packed relabeling
+JW_REFERENCE_MODULES = {"f2core", "cli", "dense"}
+
+
+def jw_matrix_builds(path):
+    """Line numbers of each make_form("jw", ...) call, bare or attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "make_form")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "make_form")
+        )
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "jw"
+    )
+
+
+def test_only_reference_modules_build_the_jw_matrix():
+    offenders = {
+        path.name: jw_matrix_builds(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in JW_REFERENCE_MODULES and jw_matrix_builds(path)
+    }
+    assert offenders == {}
+    assert jw_matrix_builds(SRC / "dense.py")
+
+
+def test_jw_matrix_guard_finds_the_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import f2core\n"
+        "W = make_form('jw', 4)\n"
+        "E = make_form('eta', 4)\n"
+        "V = f2core.make_form(\n"
+        "    'jw', n)\n"
+        "kind = 'jw'\n"
+        "U = make_form(kind, 4)\n"
+    )
+    assert jw_matrix_builds(probe) == [2, 4]
