@@ -78,6 +78,14 @@ def gather(rows, x: int, n: int) -> int:
     return acc
 
 
+def row_parities(rows, x: int) -> int:
+    """R x: one bit per row, its parity against x, the first row on top."""
+    acc = 0
+    for r in rows:
+        acc = (acc << 1) | ((r & x).bit_count() & 1)
+    return acc
+
+
 def scatter(rows: list[int], x: int, n: int, value: int) -> None:
     """XOR value into every row selected by the set bits of x, in place."""
     while x:
@@ -105,6 +113,15 @@ def rank_one(rows: list[int], u: int, h: int, n: int) -> None:
         p = (h & -h).bit_length() - 1
         rows[n - 1 - p] ^= acc
         h &= h - 1
+
+
+def right_reflect(rows: list[int], *vecs: int) -> None:
+    """In-place right multiplication by h_a = I + a a^T for each a of vecs
+    in turn: a row r gains a when r^T a = 1.  Zero vectors are skipped."""
+    for a in filter(None, vecs):
+        for i, r in enumerate(rows):
+            if (r & a).bit_count() & 1:
+                rows[i] = r ^ a
 
 
 def top_bit(x: int) -> int:

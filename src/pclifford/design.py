@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._bits import eta_swap
+from ._bits import eta_swap, gather, row_parities
 from .f2core import BitMatrix, rank_ints
 from .group import OrthogonalMap, SymplecticMap, group_order, group_rows, level_sizes
 
@@ -69,6 +69,10 @@ class FixedPointProfile:
 
 @dataclass(frozen=True)
 class FramePotentialReport:
+    """seed: the int a Monte Carlo run used, drawn from the system when
+    none is given; null for a passed random.Random, whose stream (not an
+    int) the caller owns."""
+
     ensemble: str
     dim: int
     t: int
@@ -180,6 +184,7 @@ def _potential(
     elif mode == "monte_carlo":
         if samples < 1:
             raise ValueError("need at least one sample")
+        seed = random.SystemRandom().getrandbits(53) if seed is None else seed
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         picks = ([rng.randrange(s) for s in sizes] for _ in range(samples))
     else:
@@ -376,10 +381,6 @@ def quotient_action(S: OrthogonalMap) -> SymplecticMap:
     if n2 < 4:
         raise ValueError("quotient action needs at least two mode pairs")
     rows = _embedding_rows(n2)
-    swapped = []
-    for k in range(0, len(rows), 2):
-        swapped.append(rows[k + 1])
-        swapped.append(rows[k])
-    B = BitMatrix(n2 - 2, n2, tuple(rows))
-    B_sw = BitMatrix(n2 - 2, n2, tuple(swapped))
-    return SymplecticMap(B_sw.mul(S.m).mul(B.transpose()), "pauli")
+    # row k of (eta B) S B^T: row k ^ 1 of B through S, read against B
+    out = (row_parities(rows, gather(S.m.data, rows[k ^ 1], n2)) for k in range(n2 - 2))
+    return SymplecticMap(BitMatrix(n2 - 2, n2 - 2, tuple(out)), "pauli")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._bits import gather, scatter, symp_pauli
+from ._bits import gather, row_parities, scatter, symp_pauli
 
 __all__ = [
     "BitVec",
@@ -160,10 +160,7 @@ class BitMatrix:
     def mulvec(self, v: BitVec) -> BitVec:
         if self.cols != v.n:
             raise ValueError("length mismatch")
-        bits = 0
-        for r in self.data:
-            bits = (bits << 1) | ((r & v.bits).bit_count() & 1)
-        return BitVec(self.rows, bits)
+        return BitVec(self.rows, row_parities(self.data, v.bits))
 
     def rank(self) -> int:
         return rank_ints(self.data)

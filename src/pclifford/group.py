@@ -38,17 +38,12 @@ from ._bits import (
     householder_pair,
     jw_conjugate,
     rank_one,
+    right_reflect,
+    row_parities,
     symp_pauli,
     top_bit,
 )
-from .f2core import (
-    BitMatrix,
-    BitVec,
-    dot,
-    make_form,
-    solve_affine,
-    symp_product,
-)
+from .f2core import BitMatrix, BitVec, dot, rref_ints, symp_product
 from .strings import MajoranaString, parse_string, format_string, zeta_coeff
 
 __all__ = [
@@ -75,9 +70,20 @@ __all__ = [
 ]
 
 
+def _preserves_form(rows: Sequence[int], n: int, form) -> bool:
+    """S F S^T = F on the packed rows r_i of S (form(x) = F x), a column at
+    a time: S F r_i against F e_i from entry i down; both are symmetric."""
+    return all(
+        row_parities(rows[i:], form(r)) == form(1 << (n - 1 - i)) & ((1 << (n - i)) - 1)
+        for i, r in enumerate(rows)
+    )
+
+
 @dataclass(frozen=True)
 class OrthogonalMap:
-    """Binary matrix with m^T m = I; automatically fixes the all-ones vector."""
+    """Binary matrix with m^T m = I, checked as m m^T = I (the same for a
+    square matrix); its diagonal makes every row odd, so m fixes the
+    all-ones vector."""
 
     m: BitMatrix
 
@@ -85,11 +91,8 @@ class OrthogonalMap:
         m = self.m
         if m.rows != m.cols:
             raise ValueError("orthogonal map must be square")
-        if m.transpose().mul(m) != BitMatrix.identity(m.rows):
+        if not _preserves_form(m.data, m.rows, lambda x: x):
             raise ValueError("matrix is not orthogonal")
-        j = make_form("all_ones", m.rows)
-        if m.mulvec(j) != j:
-            raise ValueError("orthogonal map must fix the all-ones vector")
 
     @property
     def dim(self) -> int:
@@ -98,20 +101,25 @@ class OrthogonalMap:
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Binary matrix preserving the commutation form of its basis."""
+    """Binary matrix with m^T F m = F for the form F of its basis, eta
+    (pauli) or omega = J + I (majorana); checked as m F m^T = F, the same
+    because F F = I at even dimension."""
 
     m: BitMatrix
     basis: str = "pauli"
 
     def __post_init__(self) -> None:
-        m = self.m
-        if m.rows != m.cols or m.rows % 2:
+        n = self.m.rows
+        if n != self.m.cols or n % 2:
             raise ValueError("symplectic map must be square of even dimension")
-        kind = "eta" if self.basis == "pauli" else "omega"
-        if self.basis not in ("pauli", "majorana"):
+        if self.basis == "pauli":
+            form = lambda x: eta_swap(x, n)
+        elif self.basis == "majorana":
+            full = (1 << n) - 1
+            form = lambda x: x ^ (full if x.bit_count() & 1 else 0)
+        else:
             raise ValueError(f"unknown basis {self.basis!r}")
-        form = make_form(kind, m.rows)
-        if m.transpose().mul(form).mul(m) != form:
+        if not _preserves_form(self.m.data, n, form):
             raise ValueError("matrix does not preserve the symplectic form")
 
     @property
@@ -292,41 +300,29 @@ def sample_orthogonal_random(dim: int, seed=None) -> OrthogonalMap:
 # symplectic builder (pauli basis internally)
 
 
-def _solve_symp_constraints(vecs: list[int], dim: int) -> int:
-    """Some x with <v, x> = 1 for every v in vecs; callers guarantee
-    consistency."""
-    rows = tuple(eta_swap(v, dim) for v in vecs)
-    sol = solve_affine(
-        BitMatrix(len(rows), dim, rows), BitVec(len(rows), (1 << len(rows)) - 1)
-    )
-    assert sol is not None, "inconsistent transvection constraints"
-    return sol.x0.bits
+def _route(e: int, x: int, fixed: list[int], dim: int) -> list[int]:
+    """At most two transvection vectors taking e to x and fixing fixed; the
+    middle w solves <v, w> = 1 for v in fixed + [e, x] with free bits 0."""
+    if x == e:
+        return []
+    if symp_pauli(e, x, dim):
+        return [e ^ x]
+    red, pivots = rref_ints((eta_swap(v, dim) << 1) | 1 for v in fixed + [e, x])
+    assert pivots[-1], "inconsistent transvection constraints"
+    w = sum(1 << (p - 1) for row, p in zip(red, pivots) if row & 1)
+    return [e ^ w, w ^ x]
 
 
 def _pair_transvections(c1: int, c2: int, dim: int) -> list[int]:
     """Transvection vectors routing (e1, e2) to (c1, c2), applied in list
     order; c1 nonzero and <c1, c2> = 1."""
     e1 = 1 << (dim - 1)
-    e2 = 1 << (dim - 2)
-    if c1 == e1:
-        t_part: list[int] = []
-    elif symp_pauli(e1, c1, dim):
-        t_part = [e1 ^ c1]
-    else:
-        w = _solve_symp_constraints([e1, c1], dim)
-        t_part = [e1 ^ w, w ^ c1]
+    t_part = _route(e1, c1, [], dim)
     d = c2
     for h in reversed(t_part):
         if symp_pauli(h, d, dim):
             d ^= h
-    if d == e2:
-        m_part: list[int] = []
-    elif symp_pauli(e2, d, dim):
-        m_part = [e2 ^ d]
-    else:
-        w = _solve_symp_constraints([e1, e2, d], dim)
-        m_part = [e2 ^ w, w ^ d]
-    return m_part + t_part
+    return _route(e1 >> 1, d, [e1], dim) + t_part
 
 
 def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:
@@ -335,14 +331,13 @@ def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:
     rows: list[int] = []
     for k in range(2, dim + 1, 2):
         c1 = picks[dim - k] + 1
-        sol = solve_affine(BitMatrix(1, k, (eta_swap(c1, k),)), BitVec(1, 1))
-        assert sol is not None
-        # the 2**(k-1) partners of c1 are x0 plus kernel combinations
-        c2 = sol.x0.bits
-        k2 = picks[dim - k + 1]
-        for t, kv in enumerate(sol.kernel):
-            if (k2 >> t) & 1:
-                c2 ^= kv.bits
+        # partners solve y^T c2 = 1, y = eta c1: bit t of k2 sets the t-th
+        # free position from the left, and the top bit p of y fixes parity
+        y = eta_swap(c1, k)
+        p = y.bit_length() - 1
+        rev = int(format(picks[dim - k + 1], f"0{k - 1}b")[::-1], 2)
+        c2 = ((rev >> p) << (p + 1)) | (rev & ((1 << p) - 1))
+        c2 |= (1 ^ (c2 & y).bit_count() & 1) << p
         rows = [1 << (k - 1), 1 << (k - 2)] + rows
         for h in _pair_transvections(c1, c2, k):
             rank_one(rows, eta_swap(h, k), h, k)
@@ -376,28 +371,19 @@ def decompose_orthogonal(S: OrthogonalMap) -> list[BitVec]:
     """Householder word (length <= 2N) whose reflection product is S.
 
     Columns are fixed left to right; each step costs two reflections at
-    most, and identity steps contribute nothing.
+    most, and identity steps contribute nothing.  Columns are the rows
+    of S^T (h_b h_a S is S^T h_a h_b) and leave the list once fixed.
     """
     N = S.dim
-    work = list(S.m.data)
+    cols = list(S.m.transpose().data)
     word: list[int] = []
     for k in range(N, 1, -1):
-        off = N - k
-        shift = k - 1
-        fbits = 0
-        for i in range(off, N):
-            fbits = (fbits << 1) | ((work[i] >> shift) & 1)
-        a, b = householder_pair(1 << shift, fbits, k)
-        block = [work[i] & ((1 << k) - 1) for i in range(off, N)]
-        rank_one(block, a, a, k)
-        rank_one(block, b, b, k)
-        assert block[0] == 1 << shift, "column peel failed"
-        for i in range(off, N):
-            work[i] = block[i - off]
-        for bits in (a, b):
-            if bits:
-                word.append(bits)
-    assert work[N - 1] == 1
+        a, b = householder_pair(1 << (k - 1), cols[0], k)
+        right_reflect(cols, a, b)
+        assert cols[0] == 1 << (k - 1), "column peel failed"
+        del cols[0]
+        word.extend(bits for bits in (a, b) if bits)
+    assert cols == [1]
     return [BitVec(N, bits) for bits in word]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._bits import householder_pair, rank_one
+from ._bits import gather, householder_pair, right_reflect
 from .f2core import (
     BitMatrix,
     BitVec,
@@ -167,20 +167,18 @@ def add_ancilla(M: IsotropicSubspace) -> IsotropicSubspace:
 def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
     """Orthogonal S mapping the i-th canonical generator to basis[i].
 
-    Walks the generators once; each step routes the current image back
-    to the canonical pair with at most two reflections chosen to fix
-    everything already routed.  Requires the all-ones vector outside M
-    (add_ancilla delivers that), which also caps r at n - 1 so the
-    working tail is always at least 4 wide.
+    Walks the generators once, routing each image m = S^T b back to the
+    canonical pair with at most two reflections that fix everything
+    already routed; S takes them on the right.  Requires the all-ones
+    vector outside M (add_ancilla delivers that), which also caps r at
+    n - 1 so the working tail is always at least 4 wide.
     """
     n2 = 2 * M.n
     if M.contains_all_ones():
         raise ValueError("all-ones vector lies in the subspace; run add_ancilla first")
-    work = [1 << (n2 - 1 - i) for i in range(n2)]
+    rows = [1 << (n2 - 1 - i) for i in range(n2)]
     for i, b in enumerate(M.basis):
-        m = 0
-        for k in range(n2):
-            m = (m << 1) | ((work[k] & b.bits).bit_count() & 1)
+        m = gather(rows, b.bits, n2)
         tw = n2 - 2 * i
         mask = (1 << tw) - 1
         m_tail = m & mask
@@ -194,10 +192,8 @@ def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
         else:
             a_tail, b_tail = householder_pair(e_tail, m_tail, tw)
         a = (m_lead << tw) | a_tail
-        rank_one(work, a, a, n2)
-        rank_one(work, b_tail, b_tail, n2)
-    # work accumulated the inverse routing; its transpose is S
-    return OrthogonalMap(BitMatrix(n2, n2, tuple(work)).transpose())
+        right_reflect(rows, a, b_tail)
+    return OrthogonalMap(BitMatrix(n2, n2, tuple(rows)))
 
 
 def stabilizer_element(stab: Stabilizer, m: BitVec) -> MajoranaString:
@@ -275,6 +271,8 @@ def parse_stabilizer(text: str) -> Stabilizer:
         r = int(fields["r"])
     except (ValueError, KeyError) as exc:
         raise ValueError(f"bad stabilizer header {lines[0]!r}") from exc
+    if r < 0:
+        raise ValueError(f"generator count r={r} must be >= 0")
     if len(lines) < 1 + r:
         raise ValueError(f"expected {r} generator lines")
     rows = [BitVec.from_string(ln) for ln in lines[1 : 1 + r]]

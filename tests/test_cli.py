@@ -327,3 +327,10 @@ class TestExitCodes:
     def test_bad_choice_is_1(self, capsys):
         code, _, _ = run(capsys, "order", "--group", "u", "--dim", "4")
         assert code == 1
+
+
+def test_stab_encode_names_a_negative_generator_count(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=2 r=-1\n"))
+    code, out, err = run(capsys, "stab-encode")
+    assert code == 1 and out == ""
+    assert "r=-1 must be >= 0" in err and "unrecognized" not in err

@@ -276,3 +276,23 @@ class TestQuotientAction:
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):
             quotient_action(OrthogonalMap(BitMatrix.identity(2)))
+
+
+class TestMonteCarloSeed:
+    def test_default_run_reports_its_seed_and_reproduces(self):
+        a = frame_potential("orthogonal", 6, 3, mode="monte_carlo", samples=20)
+        assert isinstance(a.seed, int)
+        assert json.loads(a.to_json())["seed"] == a.seed
+        b = frame_potential("orthogonal", 6, 3, mode="monte_carlo", seed=a.seed, samples=20)
+        assert b.to_json() == a.to_json()
+        assert (b.estimate, b.std_error) == (a.estimate, a.std_error)
+
+    def test_default_restricted_run_reproduces(self):
+        a = parity_frame_potential(6, 3, mode="monte_carlo", samples=20)
+        b = parity_frame_potential(6, 3, mode="monte_carlo", seed=a.seed, samples=20)
+        assert isinstance(a.seed, int) and b.to_json() == a.to_json()
+
+    def test_passed_rng_keeps_seed_null(self):
+        rep = frame_potential("orthogonal", 4, 2, mode="monte_carlo", seed=random.Random(5), samples=10)
+        assert rep.seed is None
+        assert json.loads(rep.to_json())["seed"] is None

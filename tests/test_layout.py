@@ -166,3 +166,111 @@ def test_jw_matrix_guard_finds_the_calls(tmp_path):
         "U = make_form(kind, 4)\n"
     )
     assert jw_matrix_builds(probe) == [2, 4]
+
+
+# group elements are built, checked and peeled through their own forms
+GENERIC_ALGEBRA = {"solve_affine", "make_form"}
+
+
+def names_used(path):
+    """Every bare name, attribute and imported name a module mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_group_names_no_generic_algebra():
+    assert names_used(SRC / "group.py") & GENERIC_ALGEBRA == set()
+
+
+def test_name_guard_sees_imports_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .f2core import solve_affine as solve\n"
+        "from . import f2core\n"
+        "f = f2core.make_form\n"
+    )
+    assert names_used(probe) & GENERIC_ALGEBRA == GENERIC_ALGEBRA
+
+
+def parity_names(test):
+    """{x, y} when test is the parity (x & y).bit_count() & 1 of two names."""
+    if not (
+        isinstance(test, ast.BinOp)
+        and isinstance(test.op, ast.BitAnd)
+        and isinstance(test.right, ast.Constant)
+        and test.right.value == 1
+        and isinstance(test.left, ast.Call)
+        and isinstance(test.left.func, ast.Attribute)
+        and test.left.func.attr == "bit_count"
+        and isinstance(test.left.func.value, ast.BinOp)
+        and isinstance(test.left.func.value.op, ast.BitAnd)
+    ):
+        return None
+    inner = test.left.func.value
+    if isinstance(inner.left, ast.Name) and isinstance(inner.right, ast.Name):
+        return {inner.left.id, inner.right.id}
+    return None
+
+
+def xor_names(node):
+    """{x, y} for x ^ y or x ^= y on two names."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+        left, right = node.left, node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor):
+        left, right = node.target, node.value
+    else:
+        return None
+    if isinstance(left, ast.Name) and isinstance(right, ast.Name):
+        return {left.id, right.id}
+    return None
+
+
+def right_reflections(path):
+    """Line numbers of each right-reflection row update: r gains a, as
+    r ^ a or r ^= a, under the condition that r^T a = 1."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        pair = parity_names(node.test)
+        body = node.body if isinstance(node.body, list) else [node.body]
+        if pair and any(
+            xor_names(sub) == pair for stmt in body for sub in ast.walk(stmt)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_right_reflection_update_only_in_bits():
+    offenders = {
+        path.name: right_reflections(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != SHARED and right_reflections(path)
+    }
+    assert offenders == {}
+    assert right_reflections(SRC / f"{SHARED}.py")
+
+
+def test_right_reflection_guard_finds_the_update(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(rows, a, b, pv):\n"
+        "    for i, r in enumerate(rows):\n"
+        "        if (r & a).bit_count() & 1:\n"
+        "            rows[i] = r ^ a\n"
+        "        if (a & r).bit_count() & 1:\n"
+        "            r ^= a\n"
+        "    out = [r ^ a if (r & a).bit_count() & 1 else r for r in rows]\n"
+        "    if (r & a).bit_count() & 1:\n"
+        "        rows[0] = r ^ b\n"
+        "    if ((r & a).bit_count() & 1) ^ pv == 1:\n"
+        "        return r ^ a\n"
+    )
+    assert right_reflections(probe) == [3, 5, 7]

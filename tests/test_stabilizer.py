@@ -348,3 +348,8 @@ class TestTextFormat:
             parse_stabilizer("n=2 r=1\n1100\nwhat=1\n")
         with pytest.raises(ValueError):
             parse_stabilizer("n=3 r=1\n1100\n")
+
+
+def test_parse_rejects_negative_generator_count():
+    with pytest.raises(ValueError, match=r"r=-1 must be >= 0"):
+        parse_stabilizer("n=2 r=-1\n")
