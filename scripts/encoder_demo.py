@@ -7,7 +7,6 @@ prints the resulting braid word together with the exact checks.
 
 import argparse
 import random
-from dataclasses import dataclass
 
 from pclifford.f2core import format_matrix
 from pclifford.group import (
@@ -25,17 +24,10 @@ from pclifford.stabilizer import (
 )
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    n: int = 4
-    r: int = 2
-    seed: int = 7
-
-
-def run(config: DemoConfig) -> None:
-    rng = random.Random(config.seed)
-    scramble = sample_orthogonal_random(2 * config.n, rng)
-    target = transform_isotropic(scramble, canonical_isotropic(config.n, config.r))
+def run(n: int, r: int, seed: int) -> None:
+    rng = random.Random(seed)
+    scramble = sample_orthogonal_random(2 * n, rng)
+    target = transform_isotropic(scramble, canonical_isotropic(n, r))
     print(f"target: {target.r} commuting generators on {target.n} mode pairs")
     print(format_matrix(target.matrix()))
 
@@ -67,7 +59,7 @@ def main() -> None:
     args = parser.parse_args()
     if not 1 <= args.r <= args.n:
         parser.error("need 1 <= r <= n")
-    run(DemoConfig(n=args.n, r=args.r, seed=args.seed))
+    run(args.n, args.r, args.seed)
 
 
 if __name__ == "__main__":

@@ -8,24 +8,19 @@ the restricted orthogonal column at 2n matches the symplectic column at
 """
 
 import argparse
-from dataclasses import dataclass
 
 from pclifford.design import frame_potential, haar_frame_potential, parity_frame_potential
 
-
-@dataclass(frozen=True)
-class ScanConfig:
-    orthogonal_dims: tuple[int, ...] = (2, 4, 6)
-    symplectic_dims: tuple[int, ...] = (2, 4)
-    max_t: int = 4
+ORTHOGONAL_DIMS = (2, 4, 6)
+SYMPLECTIC_DIMS = (2, 4)
 
 
 def fmt(value) -> str:
     return str(int(value)) if value.denominator == 1 else str(value)
 
 
-def scan(config: ScanConfig) -> None:
-    ts = range(1, config.max_t + 1)
+def scan(max_t: int) -> None:
+    ts = range(1, max_t + 1)
     header = f"{'ensemble':<18s}" + "".join(f"t={t:<7d}" for t in ts)
     print(header)
     print("-" * len(header.rstrip()))
@@ -33,12 +28,12 @@ def scan(config: ScanConfig) -> None:
     def row(label: str, cells: list[str]) -> None:
         print(f"{label:<18s}" + "".join(f"{c:<9s}" for c in cells))
 
-    for dim in config.orthogonal_dims:
+    for dim in ORTHOGONAL_DIMS:
         row(f"O({dim}) full", [fmt(frame_potential("orthogonal", dim, t).value) for t in ts])
         row(f"O({dim}) restricted", [fmt(parity_frame_potential(dim, t).value) for t in ts])
-    for dim in config.symplectic_dims:
+    for dim in SYMPLECTIC_DIMS:
         row(f"Sp({dim})", [fmt(frame_potential("symplectic", dim, t).value) for t in ts])
-    for N in sorted(set(config.symplectic_dims) | {2}):
+    for N in sorted(set(SYMPLECTIC_DIMS) | {2}):
         cells = []
         for t in ts:
             try:
@@ -52,7 +47,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-t", type=int, default=4)
     args = parser.parse_args()
-    scan(ScanConfig(max_t=args.max_t))
+    scan(args.max_t)
 
 
 if __name__ == "__main__":

@@ -6,27 +6,19 @@ when the uniform sampler is honest.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from pclifford.design import parity_frame_potential
 
-
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    dim: int = 6
-    orders: tuple[int, ...] = (2, 3)
-    schedule: tuple[int, ...] = (10**3, 10**4, 10**5)
-    seed: int = 99
+ORDERS = (2, 3)
+SCHEDULE = (10**3, 10**4, 10**5)
 
 
-def run(config: ConvergenceConfig) -> None:
-    for t in config.orders:
-        exact = parity_frame_potential(config.dim, t).value
-        print(f"restricted O({config.dim}), t={t}: exact = {exact}")
-        for k, samples in enumerate(config.schedule):
-            report = parity_frame_potential(
-                config.dim, t, mode="monte_carlo", seed=config.seed + k, samples=samples
-            )
+def run(dim: int, seed: int, schedule: tuple[int, ...]) -> None:
+    for t in ORDERS:
+        exact = parity_frame_potential(dim, t).value
+        print(f"restricted O({dim}), t={t}: exact = {exact}")
+        for k, samples in enumerate(schedule):
+            report = parity_frame_potential(dim, t, mode="monte_carlo", seed=seed + k, samples=samples)
             z = (report.estimate - float(exact)) / report.std_error
             print(
                 f"  samples={samples:>8d}  estimate={report.estimate:10.4f}"
@@ -42,8 +34,7 @@ def main() -> None:
         "--deep", action="store_true", help="extend the schedule to 10^6 samples"
     )
     args = parser.parse_args()
-    schedule = ConvergenceConfig.schedule + ((10**6,) if args.deep else ())
-    run(ConvergenceConfig(dim=args.dim, seed=args.seed, schedule=schedule))
+    run(args.dim, args.seed, SCHEDULE + ((10**6,) if args.deep else ()))
 
 
 if __name__ == "__main__":

@@ -11,18 +11,17 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .f2core import BitVec, format_matrix, make_form
-from .strings import MajoranaString, compose, format_string, parse_string
+from .strings import BASES, MajoranaString, compose, format_string, parse_string
 from .group import (
     CliffordWord,
     braid_action,
     decompose_orthogonal,
     format_braid_word,
     group_order,
+    level_sizes,
     sample_orthogonal,
     sample_orthogonal_random,
     sample_symplectic,
@@ -43,16 +42,6 @@ DEFAULT_SEED = 271828
 _GROUPS = {"o": "orthogonal", "sp": "symplectic"}
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: subcommand name, flag map, seed, input path."""
-
-    subcommand: str
-    flags: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-    input_path: Optional[str] = None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pclifford",
@@ -60,31 +49,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_dim(p, with_n=True):
+    def add_dim(p):
         p.add_argument("--dim", type=int, help="label dimension (2n)")
-        if with_n:
-            p.add_argument("--n", type=int, help="mode pairs; shorthand for --dim 2n")
+        p.add_argument("--n", type=int, help="mode pairs; shorthand for --dim 2n")
+
+    def add_seed(p, default):
+        p.add_argument(
+            "--seed", type=int, default=default, help=f"rng seed (default {DEFAULT_SEED})"
+        )
 
     p = sub.add_parser("order", help="group order")
     p.add_argument("--group", choices=sorted(_GROUPS), required=True)
     add_dim(p)
+    p.set_defaults(run=_cmd_order)
 
     p = sub.add_parser("sample", help="sample one group element")
     p.add_argument("--group", choices=sorted(_GROUPS), required=True)
     add_dim(p)
     p.add_argument("--index", type=int, help="1-based element index (exact bijection)")
-    p.add_argument("--seed", type=int, help=f"rng seed (default {DEFAULT_SEED})")
-    p.add_argument("--basis", choices=["majorana", "pauli"])
+    add_seed(p, None)  # None tells a given --seed from the default, which --index excludes
+    p.add_argument("--basis", choices=BASES)
+    p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("jw", help="basis-change matrix between label conventions")
     add_dim(p)
+    p.set_defaults(run=_cmd_jw)
 
     p = sub.add_parser("compose", help="multiply strings read from a file or stdin")
     p.add_argument("path", nargs="?", help="input file ('-' or omitted: stdin)")
-    p.add_argument("--basis", choices=["majorana", "pauli"], default="majorana")
+    p.add_argument("--basis", choices=BASES, default="majorana")
+    p.set_defaults(run=_cmd_compose)
 
     p = sub.add_parser("stab-encode", help="orthogonal encoder for a stabilizer file")
     p.add_argument("path", nargs="?", help="stabilizer file ('-' or omitted: stdin)")
+    p.set_defaults(run=_cmd_stab_encode)
 
     p = sub.add_parser("frame", help="frame potential report as JSON")
     p.add_argument("--group", choices=sorted(_GROUPS), required=True)
@@ -92,30 +90,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, default=10**5)
-    p.add_argument("--seed", type=int, help=f"rng seed (default {DEFAULT_SEED})")
+    add_seed(p, DEFAULT_SEED)
     p.add_argument("--parity-restricted", action="store_true")
+    p.set_defaults(run=_cmd_frame)
 
     p = sub.add_parser("orbits", help="orbit sizes of the generator closure")
     p.add_argument("--group", choices=sorted(_GROUPS), required=True)
     add_dim(p)
     p.add_argument("--tuple-order", type=int, default=1)
     p.add_argument("--space", choices=["full", "even-quotient"], default="full")
+    p.set_defaults(run=_cmd_orbits)
 
     p = sub.add_parser("verify", help="dense-oracle cross checks; exit 0 iff all pass")
-    p.add_argument("--seed", type=int, help=f"rng seed (default {DEFAULT_SEED})")
+    add_seed(p, DEFAULT_SEED)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
 
-def _resolve_dim(cfg: CliConfig) -> int:
-    dim = cfg.flags.get("dim")
-    n = cfg.flags.get("n")
-    if (dim is None) == (n is None):
+def _resolve_dim(ns: argparse.Namespace) -> int:
+    if (ns.dim is None) == (ns.n is None):
         raise ValueError("give exactly one of --dim or --n")
-    return dim if dim is not None else 2 * n
+    return ns.dim if ns.dim is not None else 2 * ns.n
 
 
-def _read_text(path: Optional[str]) -> str:
+def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
@@ -125,21 +124,27 @@ def _read_text(path: Optional[str]) -> str:
 # subcommand handlers
 
 
-def _cmd_order(cfg: CliConfig) -> int:
-    print(group_order(_GROUPS[cfg.flags["group"]], _resolve_dim(cfg)))
+def _cmd_order(ns: argparse.Namespace) -> int:
+    kind, dim = _GROUPS[ns.group], _resolve_dim(ns)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # the order is at least 2^low and log2(10) < 10/3, so the digit limit is
+    # decided from bit lengths before a product of that size is formed
+    low = sum(s.bit_length() - 1 for s in level_sizes(kind, dim))
+    if limit and (3 * low > 10 * limit or group_order(kind, dim) >= 10**limit):
+        raise ValueError(
+            f"group order has more than {limit} digits, Python's limit for printing an integer"
+        )
+    print(group_order(kind, dim))
     return 0
 
 
-def _cmd_sample(cfg: CliConfig) -> int:
-    kind = _GROUPS[cfg.flags["group"]]
-    dim = _resolve_dim(cfg)
-    index = cfg.flags.get("index")
-    basis = cfg.flags.get("basis")
-    if index is not None and cfg.flags.get("seed") is not None:
+def _cmd_sample(ns: argparse.Namespace) -> int:
+    kind, dim, index = _GROUPS[ns.group], _resolve_dim(ns), ns.index
+    if index is not None and ns.seed is not None:
         raise ValueError("--index and --seed are mutually exclusive")
-    seed = cfg.seed if cfg.seed is not None else DEFAULT_SEED
+    seed = DEFAULT_SEED if ns.seed is None else ns.seed
     if kind == "orthogonal":
-        if basis is not None:
+        if ns.basis is not None:
             raise ValueError("--basis applies to symplectic sampling only")
         out = (
             sample_orthogonal(dim, index)
@@ -147,7 +152,7 @@ def _cmd_sample(cfg: CliConfig) -> int:
             else sample_orthogonal_random(dim, seed)
         )
     else:
-        basis = basis or "pauli"
+        basis = ns.basis or "pauli"
         out = (
             sample_symplectic(dim, index, basis)
             if index is not None
@@ -157,25 +162,24 @@ def _cmd_sample(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_jw(cfg: CliConfig) -> int:
-    sys.stdout.write(format_matrix(make_form("jw", _resolve_dim(cfg))))
+def _cmd_jw(ns: argparse.Namespace) -> int:
+    sys.stdout.write(format_matrix(make_form("jw", _resolve_dim(ns))))
     return 0
 
 
-def _cmd_compose(cfg: CliConfig) -> int:
-    basis = cfg.flags["basis"]
-    lines = [ln for ln in _read_text(cfg.input_path).splitlines() if ln.strip()]
+def _cmd_compose(ns: argparse.Namespace) -> int:
+    lines = [ln for ln in _read_text(ns.path).splitlines() if ln.strip()]
     if not lines:
         raise ValueError("no strings to compose")
-    out = parse_string(lines[0], basis)
+    out = parse_string(lines[0], ns.basis)
     for ln in lines[1:]:
-        out = compose(out, parse_string(ln, basis))
+        out = compose(out, parse_string(ln, ns.basis))
     print(format_string(out))
     return 0
 
 
-def _cmd_stab_encode(cfg: CliConfig) -> int:
-    stab = parse_stabilizer(_read_text(cfg.input_path))
+def _cmd_stab_encode(ns: argparse.Namespace) -> int:
+    stab = parse_stabilizer(_read_text(ns.path))
     S = stab_clifford(stab.space)
     word = decompose_orthogonal(S)
     sys.stdout.write(format_matrix(S.m))
@@ -183,38 +187,29 @@ def _cmd_stab_encode(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_frame(cfg: CliConfig) -> int:
-    kind = _GROUPS[cfg.flags["group"]]
-    dim = _resolve_dim(cfg)
-    t = cfg.flags["t"]
-    mode = "exact" if cfg.flags["exact"] else "monte_carlo"
-    seed = cfg.seed if cfg.seed is not None else DEFAULT_SEED
-    if cfg.flags["parity_restricted"]:
+def _cmd_frame(ns: argparse.Namespace) -> int:
+    kind, dim = _GROUPS[ns.group], _resolve_dim(ns)
+    mode = "exact" if ns.exact else "monte_carlo"
+    if ns.parity_restricted:
         if kind != "orthogonal":
             raise ValueError("--parity-restricted requires --group o")
-        report = parity_frame_potential(
-            dim, t, mode=mode, seed=seed, samples=cfg.flags["samples"]
-        )
+        report = parity_frame_potential(dim, ns.t, mode=mode, seed=ns.seed, samples=ns.samples)
     else:
-        report = frame_potential(
-            kind, dim, t, mode=mode, seed=seed, samples=cfg.flags["samples"]
-        )
+        report = frame_potential(kind, dim, ns.t, mode=mode, seed=ns.seed, samples=ns.samples)
     print(report.to_json())
     return 0
 
 
-def _cmd_orbits(cfg: CliConfig) -> int:
-    kind = _GROUPS[cfg.flags["group"]]
-    dim = _resolve_dim(cfg)
-    space = cfg.flags["space"].replace("-", "_")
-    sizes = orbit_decomposition(dim, cfg.flags["tuple_order"], kind, space)
+def _cmd_orbits(ns: argparse.Namespace) -> int:
+    kind, dim = _GROUPS[ns.group], _resolve_dim(ns)
+    sizes = orbit_decomposition(dim, ns.tuple_order, kind, ns.space.replace("-", "_"))
     print(
         json.dumps(
             {
                 "group": kind,
                 "dim": dim,
-                "space": cfg.flags["space"],
-                "tuple_order": cfg.flags["tuple_order"],
+                "space": ns.space,
+                "tuple_order": ns.tuple_order,
                 "count": len(sizes),
                 "sizes": sizes,
             }
@@ -242,32 +237,20 @@ def _suite_jw_involution(rng: random.Random):
 def _suite_string_composition(rng: random.Random):
     import numpy as np
 
-    checked = 0
-    for n2 in (2, 4):
-        cache = {
-            bits: dense.dense_string(MajoranaString(0, BitVec(n2, bits)))
-            for bits in range(1 << n2)
-        }
-        for vb in range(1 << n2):
-            for wb in range(1 << n2):
-                v, w = BitVec(n2, vb), BitVec(n2, wb)
-                got = compose(MajoranaString(0, v), MajoranaString(0, w))
-                want = cache[vb] @ cache[wb]
-                if not np.array_equal(dense.dense_string(got), want):
-                    return False, f"mismatch at {v} * {w}"
-                checked += 1
-    n2 = 6
-    for _ in range(300):
-        v = BitVec(n2, rng.randrange(1 << n2))
-        w = BitVec(n2, rng.randrange(1 << n2))
-        got = compose(MajoranaString(0, v), MajoranaString(0, w))
-        want = dense.dense_string(MajoranaString(0, v)) @ dense.dense_string(
-            MajoranaString(0, w)
-        )
-        if not np.array_equal(dense.dense_string(got), want):
+    # every pair at 2 and 4 labels, then seeded pairs at 6
+    pairs = [
+        (BitVec(n2, vb), BitVec(n2, wb))
+        for n2 in (2, 4)
+        for vb in range(1 << n2)
+        for wb in range(1 << n2)
+    ]
+    pairs += [(BitVec(6, rng.randrange(64)), BitVec(6, rng.randrange(64))) for _ in range(300)]
+    for v, w in pairs:
+        s, t = MajoranaString(0, v), MajoranaString(0, w)
+        want = dense.dense_string(s) @ dense.dense_string(t)
+        if not np.array_equal(dense.dense_string(compose(s, t)), want):
             return False, f"mismatch at {v} * {w}"
-        checked += 1
-    return True, f"{checked} products"
+    return True, f"{len(pairs)} products"
 
 
 def _suite_braid_conjugation(rng: random.Random):
@@ -336,50 +319,26 @@ _VERIFY_SUITES = [
 ]
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    seed = cfg.seed if cfg.seed is not None else DEFAULT_SEED
+def _cmd_verify(ns: argparse.Namespace) -> int:
     failures = 0
     for name, fn in _VERIFY_SUITES:
-        ok, detail = fn(random.Random(seed))
+        ok, detail = fn(random.Random(ns.seed))
         print(f"{'ok' if ok else 'FAIL'} {name} ({detail})")
         if not ok:
             failures += 1
     return 0 if failures == 0 else 1
 
 
-_HANDLERS = {
-    "order": _cmd_order,
-    "sample": _cmd_sample,
-    "jw": _cmd_jw,
-    "compose": _cmd_compose,
-    "stab-encode": _cmd_stab_encode,
-    "frame": _cmd_frame,
-    "orbits": _cmd_orbits,
-    "verify": _cmd_verify,
-}
-
-
-def parse_cli(argv=None) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "path")}
-    return CliConfig(
-        subcommand=ns.subcommand,
-        flags=flags,
-        seed=getattr(ns, "seed", None),
-        input_path=getattr(ns, "path", None),
-    )
-
-
 def main(argv=None) -> int:
     try:
-        cfg = parse_cli(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):
             return 0
         return 1  # argparse usage errors map to the input-error code
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return ns.run(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from typing import Optional
 
 from ._bits import eta_swap, gather, row_parities
 from .f2core import BitMatrix, rank_ints
-from .group import OrthogonalMap, SymplecticMap, group_order, group_rows, level_sizes
+from .group import OrthogonalMap, SymplecticMap, group_rows, level_sizes
 
 __all__ = [
     "FixedPointProfile",
@@ -147,14 +147,19 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 _EXACT_BITS = 1 << 13
 
 
-def _exact_refusal(kind: str, dim: int, t: int, budget: int) -> Optional[str]:
+def _exact_refusal(sizes: list[int], dim: int, t: int, budget: int) -> Optional[str]:
     """Why exact mode refuses a request, or None when it takes it."""
     if dim * (t - 1) > _EXACT_BITS:
         return (
             f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
             f"of {_EXACT_BITS} bits per summand"
         )
-    order = group_order(kind, dim)
+    # the order is at least 2^low: a huge one is refused from bit lengths,
+    # before forming a product too long to print
+    low = sum(s.bit_length() - 1 for s in sizes)
+    if low >= max(budget.bit_length(), _EXACT_BITS):
+        return f"group order of at least 2^{low} exceeds the exact-mode budget {budget}"
+    order = math.prod(sizes)
     if order > budget:
         return f"group order {order} exceeds the exact-mode budget {budget}"
     return None
@@ -176,14 +181,17 @@ def _potential(
     if restricted and (kind != "orthogonal" or dim % 2):
         raise ValueError("parity restriction needs O(N) with N even")
     if mode == "exact":
-        refusal = _exact_refusal(kind, dim, t, budget)
+        refusal = _exact_refusal(sizes, dim, t, budget)
         if refusal:
             raise ValueError(refusal)
-        order = group_order(kind, dim)
+        order = math.prod(sizes)
         picks = itertools.product(*map(range, sizes))
     elif mode == "monte_carlo":
         if samples < 1:
             raise ValueError("need at least one sample")
+        # only these can be recorded and passed back to replay the run
+        if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
+            raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
         seed = random.SystemRandom().getrandbits(53) if seed is None else seed
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         picks = ([rng.randrange(s) for s in sizes] for _ in range(samples))
@@ -207,7 +215,7 @@ def _potential(
         finite = False
     if not finite:
         # point at --exact only where exact mode takes the request
-        refusal = _exact_refusal(kind, dim, t, budget)
+        refusal = _exact_refusal(sizes, dim, t, budget)
         hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
         raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples

@@ -264,9 +264,14 @@ def parse_stabilizer(text: str) -> Stabilizer:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty stabilizer file")
-    head = lines[0].split()
+    fields: dict[str, str] = {}
+    for part in lines[0].split():
+        key, _, value = part.partition("=")
+        if key in fields or key not in ("n", "r"):
+            why = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{why} key {key!r} in stabilizer header {lines[0]!r}")
+        fields[key] = value
     try:
-        fields = dict(part.split("=", 1) for part in head)
         n = int(fields["n"])
         r = int(fields["r"])
     except (ValueError, KeyError) as exc:

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from pclifford import cli
-from pclifford.cli import DEFAULT_SEED, main, parse_cli
+from pclifford.cli import DEFAULT_SEED, main
 from pclifford.f2core import BitVec, format_matrix, make_form, parse_matrix
 from pclifford.group import parse_braid_word, reflection_product
 
@@ -19,12 +19,6 @@ def run(capsys, *argv):
 
 
 class TestParsing:
-    def test_config_fields(self):
-        cfg = parse_cli(["order", "--group", "o", "--dim", "4"])
-        assert cfg.subcommand == "order"
-        assert cfg.flags["group"] == "o" and cfg.flags["dim"] == 4
-        assert cfg.seed is None and cfg.input_path is None
-
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "order", "--group", "o", "--dim", "4", "--frob", "1")
         assert code == 1
@@ -55,6 +49,22 @@ class TestOrder:
     def test_dim_required(self, capsys):
         code, _, _ = run(capsys, "order", "--group", "o")
         assert code == 1
+
+    def test_largest_printable_order_prints(self, capsys):
+        # |O(169)| has 4274 digits, under the 4300 Python prints by default
+        from pclifford.group import group_order
+
+        code, out, _ = run(capsys, "order", "--group", "o", "--dim", "169")
+        assert code == 0 and out == f"{group_order('orthogonal', 169)}\n"
+
+    @pytest.mark.parametrize(
+        "group, dim", [("o", "170"), ("o", "200"), ("sp", "200"), ("o", "10000"), ("sp", "10000")]
+    )
+    def test_order_past_the_digit_limit_exits_quickly(self, capsys, group, dim):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "order", "--group", group, "--dim", dim)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "more than 4300 digits" in err
 
 
 class TestSample:
@@ -157,6 +167,19 @@ class TestStabEncode:
         code, _, _ = run(capsys, "stab-encode")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ("n=2 n=3 r=1", "repeated key 'n'"),
+            ("n=2 r=1 x=9", "unknown key 'x'"),
+            ("n=2 r=1 r=2", "repeated key 'r'"),
+        ],
+    )
+    def test_header_keys(self, capsys, monkeypatch, head, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{head}\n1100\n0110\n"))
+        code, out, err = run(capsys, "stab-encode")
+        assert code == 1 and out == "" and message in err
+
 
 class TestFrame:
     def test_exact_restricted_value_5(self, capsys):
@@ -202,6 +225,14 @@ class TestFrame:
         code, out, err = run(capsys, "frame", "--group", "o", "--dim", "4", "--t", t, "--exact")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "cap of 8192 bits" in err
+
+    @pytest.mark.parametrize("dim", ["200", "4000"])
+    def test_exact_budget_exits_quickly(self, capsys, dim):
+        # the order is refused from bit lengths, never formed or printed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frame", "--group", "o", "--dim", dim, "--t", "2", "--exact")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "exact-mode budget" in err and len(err) < 200
 
 
 def strict_json(text):
@@ -317,10 +348,10 @@ class TestVerify:
 
 class TestExitCodes:
     def test_internal_error_is_2(self, capsys, monkeypatch):
-        def explode(cfg):
+        def explode(ns):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setitem(cli._HANDLERS, "order", explode)
+        monkeypatch.setattr(cli, "_cmd_order", explode)
         code, _, err = run(capsys, "order", "--group", "o", "--dim", "4")
         assert code == 2 and "internal error" in err
 

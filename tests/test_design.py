@@ -296,3 +296,10 @@ class TestMonteCarloSeed:
         rep = frame_potential("orthogonal", 4, 2, mode="monte_carlo", seed=random.Random(5), samples=10)
         assert rep.seed is None
         assert json.loads(rep.to_json())["seed"] is None
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "abc", b"xy"])
+    def test_seed_that_cannot_be_replayed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            frame_potential("orthogonal", 4, 2, mode="monte_carlo", seed=seed, samples=5)
+        with pytest.raises(ValueError, match="seed must be"):
+            parity_frame_potential(4, 2, mode="monte_carlo", seed=seed, samples=5)

@@ -7,12 +7,14 @@ the same random numbers in the same order.
 """
 
 import hashlib
+import io
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from pclifford.cli import main
 from pclifford.design import frame_potential, orbit_decomposition, parity_frame_potential
 from pclifford.f2core import BitVec
 from pclifford.group import (
@@ -361,3 +363,63 @@ def _jw_items():
 
 def test_jordan_wigner_golden_digest():
     assert _digest(_jw_items()) == JW_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# the command line: (exit code, stdout, stderr) of in-process main for every
+# subcommand, its usage errors and its help, pinned before the entry points
+# read their argparse namespace directly
+
+CLI_INVOCATIONS = [
+    ([], ""),
+    (["--help"], ""),
+    (["frob"], ""),
+    (["order", "--group", "o", "--n", "3"], ""),
+    (["order", "--group", "sp", "--dim", "4"], ""),
+    (["order", "--group", "u", "--dim", "4"], ""),
+    (["order", "--group", "o"], ""),
+    (["order", "--group", "o", "--dim", "4", "--n", "2"], ""),
+    (["sample", "--help"], ""),
+    (["sample", "--group", "o", "--dim", "4", "--index", "5"], ""),
+    (["sample", "--group", "o", "--dim", "8"], ""),
+    (["sample", "--group", "sp", "--dim", "4", "--index", "7"], ""),
+    (["sample", "--group", "sp", "--dim", "6", "--seed", "3", "--basis", "majorana"], ""),
+    (["sample", "--group", "o", "--dim", "4", "--index", "1", "--seed", "3"], ""),
+    (["sample", "--group", "o", "--dim", "4", "--basis", "pauli"], ""),
+    (["jw", "--dim", "6"], ""),
+    (["jw", "--dim", "3"], ""),
+    (["compose"], "i^0 1100\ni^0 0110\n"),
+    (["compose", "--basis", "pauli", "-"], "i^0 11\ni^0 10\n"),
+    (["compose"], ""),
+    (["compose", "/nonexistent/strings.txt"], ""),
+    (["stab-encode"], "n=3 r=1\n111100\n"),
+    (["stab-encode", "-"], "n=2 r=2\n1100\n0011\n"),
+    (["stab-encode"], "n=2 r=1\n1000\n"),
+    (["frame", "--help"], ""),
+    (["frame", "--group", "o", "--dim", "4", "--t", "4", "--exact", "--parity-restricted"], ""),
+    (["frame", "--group", "sp", "--dim", "2", "--t", "4", "--exact"], ""),
+    (["frame", "--group", "o", "--n", "3", "--t", "2", "--samples", "400"], ""),
+    (["frame", "--group", "sp", "--dim", "4", "--t", "3", "--samples", "300", "--seed", "5"], ""),
+    (["frame", "--group", "o", "--dim", "6", "--t", "3", "--samples", "200", "--parity-restricted"], ""),
+    (["frame", "--group", "sp", "--dim", "4", "--t", "2", "--exact", "--parity-restricted"], ""),
+    (["orbits", "--group", "o", "--dim", "4", "--tuple-order", "2"], ""),
+    (["orbits", "--group", "o", "--n", "2", "--space", "even-quotient"], ""),
+    (["orbits", "--group", "sp", "--dim", "4"], ""),
+    (["verify"], ""),
+    (["verify", "--seed", "5"], ""),
+]
+CLI_INVOCATIONS += [([sub, "--help"], "") for sub in ("order", "jw", "compose", "stab-encode", "orbits", "verify")]
+CLI_GOLDEN = "f13aac0341c0e0719ca3481442bb0ab8a9bac76bde41543c9514876d173b68ec"
+
+
+def _cli_items(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    for argv, stdin in CLI_INVOCATIONS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        yield argv, code, out, err
+
+
+def test_cli_golden_digest(capsys, monkeypatch):
+    assert _digest(_cli_items(capsys, monkeypatch)) == CLI_GOLDEN

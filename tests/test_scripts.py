@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         # a maximal span contains the all-ones vector: the ancilla path
         (["encoder_demo.py", "--n", "3", "--r", "3"], "added an ancilla pair"),
         (["frame_potential_scan.py", "--max-t", "2"], "Haar N=2"),
+        (["mc_convergence.py", "--dim", "4"], "z="),
     ],
 )
 def test_script_exits_zero(argv, expect):
