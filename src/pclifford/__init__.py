@@ -15,6 +15,9 @@ Layers, bottom up:
   logical operators.
 - design: fixed-point profiles, frame potentials, orbit counts, the
   quotient embedding.
+- batch: numpy batches of the group builders, the rank and the
+  fixed-point exponent for up to 64 labels; design loads it with its
+  first potential, so importing the package does not load numpy.
 """
 
 from .f2core import (
@@ -55,6 +58,7 @@ from .group import (
     format_braid_word,
     group_order,
     group_rows,
+    level_bits,
     level_sizes,
     parse_braid_word,
     reduce_to_elementary,

@@ -21,7 +21,7 @@ from .group import (
     decompose_orthogonal,
     format_braid_word,
     group_order,
-    level_sizes,
+    level_bits,
     sample_orthogonal,
     sample_orthogonal_random,
     sample_symplectic,
@@ -129,7 +129,7 @@ def _cmd_order(ns: argparse.Namespace) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     # the order is at least 2^low and log2(10) < 10/3, so the digit limit is
     # decided from bit lengths before a product of that size is formed
-    low = sum(s.bit_length() - 1 for s in level_sizes(kind, dim))
+    low = level_bits(kind, dim)
     if limit and (3 * low > 10 * limit or group_order(kind, dim) >= 10**limit):
         raise ValueError(
             f"group order has more than {limit} digits, Python's limit for printing an integer"

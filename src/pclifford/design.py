@@ -15,11 +15,19 @@ fed by pick lists of the group module, is the only path from an
 element to a summand: exact mode feeds it every pick list and reduces
 it to a histogram {e: count}; Monte Carlo feeds it random pick lists.
 
+The stream runs in chunks of at most 1024 pick lists, which bounds its
+memory to about a megabyte.  Up to 64 labels the batch module builds a
+chunk as uint64 rows and ranks them in numpy; exact mode decodes each
+chunk of indices by mixed radix and adds its histogram.  Past 64 labels
+a row does not fit a uint64, and the chunk goes through the scalar
+group_rows and _exponent one pick list at a time.
+
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
 alone and consumes the rng exactly as the same number of sampler calls
-would.  Its float sums run in sample order: past 2^53 they round, and a
-histogram reduction would round differently.
+would: a chunk draws its pick lists in sample order, and the last chunk
+only the samples that remain.  Its float sums run in sample order: past
+2^53 they round, and a histogram reduction would round differently.
 """
 
 from __future__ import annotations
@@ -35,7 +43,14 @@ from typing import Optional
 
 from ._bits import eta_swap, gather, row_parities
 from .f2core import BitMatrix, rank_ints
-from .group import OrthogonalMap, SymplecticMap, group_rows, level_sizes
+from .group import (
+    OrthogonalMap,
+    SymplecticMap,
+    group_order,
+    group_rows,
+    level_bits,
+    level_sizes,
+)
 
 __all__ = [
     "FixedPointProfile",
@@ -145,21 +160,23 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
+# pick lists per batch: bounds the memory of the stream, about 1 MB
+_CHUNK = 1024
 
 
-def _exact_refusal(sizes: list[int], dim: int, t: int, budget: int) -> Optional[str]:
+def _exact_refusal(kind: str, dim: int, t: int, budget: int) -> Optional[str]:
     """Why exact mode refuses a request, or None when it takes it."""
     if dim * (t - 1) > _EXACT_BITS:
         return (
             f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
             f"of {_EXACT_BITS} bits per summand"
         )
-    # the order is at least 2^low: a huge one is refused from bit lengths,
-    # before forming a product too long to print
-    low = sum(s.bit_length() - 1 for s in sizes)
+    # the order is at least 2^low: a huge one is refused from its bit count,
+    # before the level sizes or a product too long to print are formed
+    low = level_bits(kind, dim)
     if low >= max(budget.bit_length(), _EXACT_BITS):
         return f"group order of at least 2^{low} exceeds the exact-mode budget {budget}"
-    order = math.prod(sizes)
+    order = group_order(kind, dim)
     if order > budget:
         return f"group order {order} exceeds the exact-mode budget {budget}"
     return None
@@ -175,17 +192,23 @@ def _potential(
     seed,
     samples: int,
 ) -> FramePotentialReport:
-    sizes = level_sizes(kind, dim)  # validates kind and dim
+    level_bits(kind, dim)  # validates kind and dim
     if t < 1:
         raise ValueError("frame potential order must be >= 1")
     if restricted and (kind != "orthogonal" or dim % 2):
         raise ValueError("parity restriction needs O(N) with N even")
+    from . import batch  # numpy, loaded with the first potential
+
     if mode == "exact":
-        refusal = _exact_refusal(sizes, dim, t, budget)
+        refusal = _exact_refusal(kind, dim, t, budget)
         if refusal:
             raise ValueError(refusal)
-        order = math.prod(sizes)
-        picks = itertools.product(*map(range, sizes))
+        sizes, order = level_sizes(kind, dim), group_order(kind, dim)
+        # a histogram ignores the order of the pick lists
+        chunks = (
+            batch.index_picks(sizes, lo, min(lo + _CHUNK, order))
+            for lo in range(0, order, _CHUNK)
+        )
     elif mode == "monte_carlo":
         if samples < 1:
             raise ValueError("need at least one sample")
@@ -194,10 +217,22 @@ def _potential(
             raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
         seed = random.SystemRandom().getrandbits(53) if seed is None else seed
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        picks = ([rng.randrange(s) for s in sizes] for _ in range(samples))
+        sizes = level_sizes(kind, dim)
+        # in sample order; the last chunk draws only the samples that remain
+        chunks = (
+            [[rng.randrange(s) for s in sizes] for _ in range(min(_CHUNK, samples - lo))]
+            for lo in range(0, samples, _CHUNK)
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks)
+    if dim > 64:  # past the uint64 rows of the batch module
+        exponents = (
+            [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
+            for picks in chunks
+        )
+    else:
+        exponents = (batch.exponents(kind, dim, restricted, picks).tolist() for picks in chunks)
+    stream = itertools.chain.from_iterable(exponents)
     if mode == "exact":
         total = sum(count << (e * (t - 1)) for e, count in Counter(stream).items())
         return FramePotentialReport(
@@ -215,7 +250,7 @@ def _potential(
         finite = False
     if not finite:
         # point at --exact only where exact mode takes the request
-        refusal = _exact_refusal(sizes, dim, t, budget)
+        refusal = _exact_refusal(kind, dim, t, budget)
         hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
         raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples

@@ -20,9 +20,10 @@ Sp(2n) has two per level 2n, 2n-2, ..., 2: the first column c1, then
 its partner c2.  Random samplers draw rng.randrange(s) for each entry
 in that order, never a big integer; index samplers read index - 1 as a
 mixed-radix number whose least significant digit is the first entry;
-exact enumeration is itertools.product over the ranges, and the group
+exact enumeration decodes every index the same way, and the group
 order is the product of the sizes.  Reordering the entries changes
-every seeded and indexed output.
+every seeded and indexed output.  The batch module builds whole arrays
+of pick lists at once, each element equal to what group_rows gives.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "sample_symplectic_random",
     "group_order",
     "level_sizes",
+    "level_bits",
     "group_rows",
     "decompose_orthogonal",
     "reflection_product",
@@ -216,19 +218,35 @@ def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
 # pick lists: level sizes, group orders, row builders
 
 
-def level_sizes(kind: str, dim: int) -> list[int]:
-    """Radix of each pick-list entry, in draw order."""
+def _check_group(kind: str, dim: int) -> None:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if kind == "symplectic" and dim % 2:
+        raise ValueError("symplectic groups need even dimension")
+    if kind not in ("orthogonal", "symplectic"):
+        raise ValueError(f"unknown group kind {kind!r}")
+
+
+def level_sizes(kind: str, dim: int) -> list[int]:
+    """Radix of each pick-list entry, in draw order."""
+    _check_group(kind, dim)
     if kind == "orthogonal":
         # odd-parity first columns; the all-ones vector is impossible at odd k
         return [(1 << (k - 1)) - (k & 1) for k in range(dim, 1, -1)]
-    if kind == "symplectic":
-        if dim % 2:
-            raise ValueError("symplectic groups need even dimension")
-        # first column c1 != 0, then one of the partners of c1
-        return [s for k in range(dim, 0, -2) for s in ((1 << k) - 1, 1 << (k - 1))]
-    raise ValueError(f"unknown group kind {kind!r}")
+    # first column c1 != 0, then one of the partners of c1
+    return [s for k in range(dim, 0, -2) for s in ((1 << k) - 1, 1 << (k - 1))]
+
+
+def level_bits(kind: str, dim: int) -> int:
+    """sum(s.bit_length() - 1 for s in level_sizes(kind, dim)) in closed
+    form: the group order is at least 2^level_bits, known without
+    building the sizes, whose memory grows with dim^2."""
+    _check_group(kind, dim)
+    if kind == "orthogonal":
+        # k - 1 bits at level k, one fewer at odd k (2^(k-1) - 1)
+        return dim * (dim - 1) // 2 - (dim - 1) // 2
+    # two entries of k - 1 bits at each even k: 2 n^2 for dim = 2n
+    return dim * dim // 2
 
 
 @lru_cache(maxsize=None)

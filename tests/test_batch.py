@@ -1,0 +1,229 @@
+"""The batched exponent stream against the scalar path it replaces.
+
+group_rows_batch must equal group_rows on every pick list, rank_batch
+must equal rank_ints, and the exponents of a chunk must equal _exponent
+element by element.  Dimension 64 is the edge of the uint64 rows: there
+the augmented rows of the restricted rank and of the transvection
+routing need a 65th bit, which lives in a separate array.
+"""
+
+import itertools
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pclifford.batch import exponents, group_rows_batch, index_picks, rank_batch
+from pclifford.design import (
+    _exponent,
+    fixed_point_profile,
+    frame_potential,
+    parity_frame_potential,
+)
+from pclifford.f2core import rank_ints
+from pclifford.group import (
+    _index_picks,
+    group_order,
+    group_rows,
+    level_bits,
+    level_sizes,
+    sample_orthogonal_random,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def every_pick_list(kind, dim):
+    return [list(p) for p in itertools.product(*map(range, level_sizes(kind, dim)))]
+
+
+def seeded_pick_lists(kind, dim, count, seed):
+    rng = random.Random(seed)
+    sizes = level_sizes(kind, dim)
+    return [[rng.randrange(s) for s in sizes] for _ in range(count)]
+
+
+def batch_rows(kind, dim, picks):
+    """group_rows_batch as one list of packed rows per pick list."""
+    return group_rows_batch(kind, dim, picks).T.tolist()
+
+
+EVERY = [("orthogonal", d) for d in range(1, 7)] + [("symplectic", 2), ("symplectic", 4)]
+SEEDED = [
+    (kind, dim)
+    for dim in (7, 8, 16, 63, 64)
+    for kind in ("orthogonal", "symplectic")
+    if kind == "orthogonal" or dim % 2 == 0
+]
+
+
+@pytest.mark.parametrize("kind, dim", EVERY)
+def test_batch_rows_match_scalar_on_every_pick_list(kind, dim):
+    picks = every_pick_list(kind, dim)
+    assert len(picks) == group_order(kind, dim)
+    assert batch_rows(kind, dim, picks) == [group_rows(kind, dim, p) for p in picks]
+
+
+@pytest.mark.parametrize("kind, dim", SEEDED)
+def test_batch_rows_match_scalar_on_seeded_pick_lists(kind, dim):
+    picks = seeded_pick_lists(kind, dim, 2000, seed=dim)
+    assert batch_rows(kind, dim, picks) == [group_rows(kind, dim, p) for p in picks]
+
+
+def test_batch_rows_take_the_extreme_picks():
+    # the last pick list of a level is where the odd level skips all-ones
+    # and where the symplectic c1 and its partner take their top values
+    for kind, dim in (("orthogonal", 64), ("orthogonal", 63), ("symplectic", 64)):
+        sizes = level_sizes(kind, dim)
+        picks = [[s - 1 for s in sizes], [0] * len(sizes)]
+        assert batch_rows(kind, dim, picks) == [group_rows(kind, dim, p) for p in picks]
+
+
+def test_batch_rows_need_uint64_rows():
+    with pytest.raises(ValueError, match="dim must be <= 64"):
+        group_rows_batch("orthogonal", 65, [[0] * 64])
+    with pytest.raises(ValueError, match="unknown group kind"):
+        group_rows_batch("unitary", 4, [[0, 0, 0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.sampled_from([1, 3, 6, 8, 63, 64]),
+    data=st.data(),
+)
+def test_rank_batch_matches_rank_ints(width, data):
+    m = data.draw(st.integers(1, 9))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, (1 << width) - 1), min_size=m, max_size=m),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    low = data.draw(
+        st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=len(rows), max_size=len(rows))
+    )
+    packed = np.array(rows, np.uint64).T
+    assert rank_batch(packed).tolist() == [rank_ints(r) for r in rows]
+    # the low bit is the 65th bit of a row of 64
+    want = [rank_ints((x << 1) | b for x, b in zip(r, lr)) for r, lr in zip(rows, low)]
+    assert rank_batch(packed, np.array(low).T).tolist() == want
+
+
+def test_rank_batch_of_dependent_rows():
+    # equal rows, and a row that is the XOR of two others
+    rows = np.array([[5, 5, 0], [3, 5, 6]], np.uint64).T
+    assert rank_batch(rows).tolist() == [1, 2]
+    assert rank_batch(rows, np.array([[1, 0, 0], [0, 0, 1]], bool).T).tolist() == [2, 3]
+
+
+def with_restriction(cases):
+    """Each case unrestricted, and restricted where that is defined."""
+    return [(k, d, False) for k, d in cases] + [
+        (k, d, True) for k, d in cases if k == "orthogonal" and d % 2 == 0
+    ]
+
+
+@pytest.mark.parametrize("kind, dim, restricted", with_restriction(EVERY))
+def test_exponents_match_scalar_on_every_pick_list(kind, dim, restricted):
+    picks = every_pick_list(kind, dim)
+    want = [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
+    assert exponents(kind, dim, restricted, picks).tolist() == want
+
+
+@pytest.mark.parametrize("kind, dim, restricted", with_restriction(SEEDED))
+def test_exponents_match_scalar_on_seeded_pick_lists(kind, dim, restricted):
+    picks = seeded_pick_lists(kind, dim, 300, seed=dim + 1)
+    want = [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
+    assert exponents(kind, dim, restricted, picks).tolist() == want
+
+
+@pytest.mark.parametrize("kind, dim", [("orthogonal", 5), ("symplectic", 4)])
+def test_index_picks_match_the_index_samplers(kind, dim):
+    sizes, order = level_sizes(kind, dim), group_order(kind, dim)
+    got = [p for lo in range(0, order, 100) for p in index_picks(sizes, lo, min(lo + 100, order)).tolist()]
+    assert got == [_index_picks(kind, dim, index) for index in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("lo", [0, 1 << 70])
+def test_index_picks_past_64_bits(lo):
+    # an index or a radix past 64 bits: the digits are Python ints
+    sizes = [3, 1 << 80, 5]
+    got = index_picks(sizes, lo, lo + 2).tolist()
+    assert got == [[i % 3, i // 3 % (1 << 80), i // 3 >> 80] for i in (lo, lo + 1)]
+
+
+def test_monte_carlo_above_64_bits_takes_the_scalar_path():
+    """Past 64 labels each sample is a sampler call and a rank, as before."""
+    dim, t, n = 66, 2, 3
+    rep = frame_potential("orthogonal", dim, t, mode="monte_carlo", seed=7, samples=n)
+    rng = random.Random(7)
+    want = [fixed_point_profile(sample_orthogonal_random(dim, rng)).f ** (t - 1) for _ in range(n)]
+    assert rep.estimate == sum(want) / n
+    par = parity_frame_potential(dim, 3, mode="monte_carlo", seed=7, samples=n)
+    rng = random.Random(7)
+    profiles = [fixed_point_profile(sample_orthogonal_random(dim, rng)) for _ in range(n)]
+    assert par.estimate == sum(((p.f_plus + p.c_plus) // 2) ** 2 for p in profiles) / n
+
+
+# ---------------------------------------------------------------------------
+# huge dimensions are refused from a bit count, before the level sizes exist
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
+def test_level_bits_is_the_bit_count_of_the_level_sizes(kind):
+    for dim in range(2 if kind == "symplectic" else 1, 300, 2 if kind == "symplectic" else 1):
+        assert level_bits(kind, dim) == sum(s.bit_length() - 1 for s in level_sizes(kind, dim))
+
+
+def test_level_bits_validates_like_level_sizes():
+    for kind, dim in (("orthogonal", 0), ("symplectic", 3), ("unitary", 4)):
+        with pytest.raises(ValueError) as want:
+            level_sizes(kind, dim)
+        with pytest.raises(ValueError, match=str(want.value)):
+            level_bits(kind, dim)
+
+
+# the refusal runs in a child process, with its address space capped, so a
+# regression that builds the sizes fails the test rather than the machine
+CHILD = """
+import sys, time
+from pclifford.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["order", "--group", "o", "--dim", "1000000"], "more than 4300 digits"),
+        (["order", "--group", "sp", "--dim", "1000000"], "more than 4300 digits"),
+        (["frame", "--group", "o", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
+        (["frame", "--group", "sp", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
+        (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--exact"], "exact-mode cap"),
+    ],
+)
+def test_huge_dimensions_exit_within_a_second(argv, message):
+    res = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_memory,
+    )
+    assert res.returncode == 1 and message in res.stderr
+    assert float(res.stdout) < 1.0

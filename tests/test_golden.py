@@ -16,7 +16,7 @@ import pytest
 
 from pclifford.cli import main
 from pclifford.design import frame_potential, orbit_decomposition, parity_frame_potential
-from pclifford.f2core import BitVec
+from pclifford.f2core import BitMatrix, BitVec
 from pclifford.group import (
     braid_action,
     decompose_orthogonal,
@@ -215,9 +215,58 @@ def test_exact_potentials(kind, dim, restricted):
 
 
 def test_exact_potential_orthogonal_7():
-    # one enumeration of O(7) (1451520 elements) takes tens of seconds,
-    # so only the largest order is pinned; t = 1..3 read 1, 4, 24
-    assert str(frame_potential("orthogonal", 7, 4).value) == "240"
+    # one enumeration of O(7) (1451520 elements) takes about a second in
+    # batches; t = 2 and 3 were read as 4 and 24 by the scalar enumeration
+    got = [str(frame_potential("orthogonal", 7, t).value) for t in (2, 3, 4)]
+    assert got == ["4", "24", "240"]
+
+
+def _gaussian_binomial(n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of F2^n."""
+    num = math.prod((1 << (n - i)) - 1 for i in range(k))
+    return num // math.prod((1 << (i + 1)) - 1 for i in range(k))
+
+
+def _alternating_form_ranks(m: int) -> Counter:
+    """{rank: count} over every alternating form on F2^m, from its matrix."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    ranks = Counter()
+    for bits in range(1 << len(pairs)):
+        rows = [0] * m
+        for b, (i, j) in enumerate(pairs):
+            if bits >> b & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        ranks[BitMatrix(m, m, tuple(rows)).rank() if m else 0] += 1
+    return ranks
+
+
+def _witt_count(n: int, t: int) -> int:
+    """F_t of Sp(2n) as the number of orbits on (t-1)-tuples of labels.
+
+    By Witt's theorem an orbit is fixed by the kernel of the tuple, a
+    subspace of F2^(t-1), and the alternating Gram form the tuple induces
+    on the m-dimensional quotient; a form of rank 2s embeds in F2^(2n)
+    iff m - s <= n.
+    """
+    return sum(
+        _gaussian_binomial(t - 1, m) * count
+        for m in range(t)
+        for rank, count in _alternating_form_ranks(m).items()
+        if m - rank // 2 <= n
+    )
+
+
+@pytest.mark.parametrize("n, t", [(1, t) for t in range(1, 5)] + [(2, t) for t in range(1, 5)])
+def test_witt_count_matches_the_pinned_symplectic_values(n, t):
+    assert str(_witt_count(n, t)) == EXACT_POTENTIALS["symplectic", 2 * n, False][t - 1]
+
+
+@pytest.mark.parametrize("t, want", [(3, 6), (4, 30)])
+def test_exact_potential_symplectic_6_matches_witt_count(t, want):
+    # one enumeration of Sp(6) (1451520 elements) takes about 3 s in batches
+    assert _witt_count(3, t) == want
+    assert frame_potential("symplectic", 6, t).value == want
 
 
 MC_LARGE = {

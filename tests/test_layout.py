@@ -2,6 +2,9 @@
 and only the reference layers build the dense Jordan-Wigner matrix."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pclifford"
@@ -274,3 +277,96 @@ def test_right_reflection_guard_finds_the_update(tmp_path):
         "        return r ^ a\n"
     )
     assert right_reflections(probe) == [3, 5, 7]
+
+
+# numpy stays with the dense oracle, the CLI that drives it, and the batch
+# kernels of the exponent stream
+NUMPY_MODULES = {"dense", "cli", "batch"}
+
+
+def numpy_imports(path):
+    """Line numbers of each import of numpy, at any depth of the module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_batch_and_oracle_modules_import_numpy():
+    offenders = {
+        path.name: numpy_imports(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in NUMPY_MODULES and numpy_imports(path)
+    }
+    assert offenders == {}
+    assert all(numpy_imports(SRC / f"{name}.py") for name in NUMPY_MODULES)
+
+
+def test_numpy_guard_finds_the_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def f():\n"
+        "    import numpy.linalg\n"
+        "from numpy import zeros\n"
+        "from .numpy import x\n"
+        "import numpyish\n"
+        "import os, numpy\n"
+    )
+    assert numpy_imports(probe) == [1, 3, 4, 7]
+
+
+def test_importing_the_library_loads_no_batch_kernels():
+    """design loads the batch module with its first potential: an import
+    compiles none of it and loads no numpy."""
+    code = (
+        "import sys\n"
+        "import pclifford.design, pclifford.group, pclifford.stabilizer\n"
+        "assert 'pclifford.batch' not in sys.modules and 'numpy' not in sys.modules\n"
+        "pclifford.design.frame_potential('symplectic', 2, 2)\n"
+        "assert 'pclifford.batch' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def itertools_products(path):
+    """Line numbers naming itertools.product, as an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "product"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "itertools"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(alias.name == "product" for alias in node.names)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_design_enumerates_without_itertools_product():
+    """Exact mode decodes chunks of indices; it does not walk a product."""
+    assert itertools_products(SRC / "design.py") == []
+
+
+def test_product_guard_finds_the_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import itertools\n"
+        "picks = itertools.product(range(2), range(3))\n"
+        "from itertools import chain, product\n"
+        "import math\n"
+        "n = math.prod([2, 3])\n"
+    )
+    assert itertools_products(probe) == [2, 3]
