@@ -12,7 +12,9 @@ for rows of at most 64 bits, which fit a uint64:
 A batch of packed rows is a (rows, B) uint64 array: row i of every
 element is one contiguous vector, the batch counterpart of rows[i], and
 a reduction over the rows runs along the first axis.  Each scalar step
-becomes np.where branches or a masked XOR-reduction over the batch.
+becomes np.where branches or a masked XOR-reduction over the batch.  No
+row needs a 65th bit: the transvection middles are closed forms, and the
+restricted rank writes its augmented bit into bit 0.
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
 """
@@ -53,48 +55,35 @@ def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def rank_batch(rows: np.ndarray, low=None) -> np.ndarray:
+def rank_batch(rows: np.ndarray) -> np.ndarray:
     """rank_ints of each matrix of a batch: rows[i, b] is packed row i of
-    matrix b, uint64.  low, when given, broadcasts to the shape of rows
-    and holds one more bit per row, below bit 0: the 65th bit of a row
-    of 64.
+    matrix b, uint64.
 
     Rows are reduced in turn by the reduced rows before them, taking
     r ^ row when it is smaller: that clears the leading bit of row from
-    r, so the nonzero reduced rows have distinct leading bits.  The low
-    bits ride along; a row whose high bits vanish but whose low bit does
-    not adds one to the rank, once.
+    r, so the nonzero reduced rows have distinct leading bits.
     """
     rows = np.asarray(rows, dtype=np.uint64)
-    if low is not None:
-        low = np.broadcast_to(np.asarray(low, dtype=bool), rows.shape)
     reduced = []
     rank = np.zeros(rows.shape[1], np.intp)
-    extra = np.zeros(rows.shape[1], bool)
-    for i, r in enumerate(rows):
-        r_low = None if low is None else low[i]
-        for row, row_low in reduced:
-            s = r ^ row
-            if r_low is not None:
-                r_low = r_low ^ ((s < r) & row_low)
-            r = np.minimum(r, s)
-        reduced.append((r, r_low))
+    for r in rows:
+        for row in reduced:
+            r = np.minimum(r, r ^ row)
+        reduced.append(r)
         rank += r != 0
-        if r_low is not None:
-            extra |= (r == 0) & r_low
-    return rank + extra
+    return rank
 
 
 def exponents(kind: str, dim: int, restricted: bool, picks) -> np.ndarray:
-    """_exponent of the element of each pick list: dim less the rank of
-    S + I, or restricted, of [S + I | 1] over [j | 0].  That rank is r2 of
-    _parity_counts, plus one when c_+ = 0, so (f_+ + c_+)/2 = 2^(dim - r)."""
+    """_exponent of the element of each pick list, by its formula: dim
+    less the rank of S + I, or restricted, of its rows with bit 0 set over
+    j with bit 0 clear."""
     diag = np.uint64(1) << np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None]
     kicked = group_rows_batch(kind, dim, picks) ^ diag
-    if not restricted:
-        return dim - rank_batch(kicked)
-    j = np.full((1, kicked.shape[1]), (1 << dim) - 1, np.uint64)
-    return dim - rank_batch(np.vstack([kicked, j]), np.arange(dim + 1)[:, None] < dim)
+    if restricted:
+        j = np.full((1, kicked.shape[1]), (1 << dim) - 2, np.uint64)
+        kicked = np.vstack([kicked | np.uint64(1), j])
+    return dim - rank_batch(kicked)
 
 
 # ---------------------------------------------------------------------------
@@ -146,32 +135,10 @@ def _symp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (np.bitwise_count(a & eta_swap(b, n)) & 1).astype(bool)
 
 
-def _reduce(r, last, rows):
-    """r reduced by each row in turn: r ^ row < r exactly when r holds the
-    leading bit of row, so taking the smaller clears it."""
-    for row, row_last in rows:
-        s = r ^ row
-        hit = s < r
-        r = np.where(hit, s, r)
-        last = last ^ (hit & row_last)
-    return r, last
-
-
-def _route(e: int, x: np.ndarray, fixed: list[int], dim: int) -> list[np.ndarray]:
-    """group's _route for a batch of targets x, as two vectors, zero where
-    _route gives fewer.  The middle w comes from the reduced echelon form
-    of the rows (eta v, 1), which is unique, so it is the w of rref_ints."""
+def _route(e: int, x: np.ndarray, w: np.ndarray | int, dim: int) -> list[np.ndarray]:
+    """group's _route for a batch of targets x and middles w, as two
+    vectors, zero where _route gives fewer."""
     direct = (x == e) | _symp(np.uint64(e), x, dim)
-    red = []  # (packed row, its last bit), the last bit kept apart: dim may be 64
-    for v in fixed + [e, x]:
-        red.append(_reduce(np.asarray(eta_swap(v, dim), np.uint64), True, red))
-    # the rows of fixed + [e] are independent: only the row of x can vanish
-    r, last = red[-1]
-    assert not np.any(~direct & (r == 0) & last), "inconsistent transvection constraints"
-    w = np.uint64(0)
-    for i, (r, last) in enumerate(red):
-        r, last = _reduce(r, last, red[i + 1 :])
-        w = w | np.where(last, _top_bits(r, dim), 0)
     return [np.where(direct, e ^ x, e ^ w), np.where(direct, 0, w ^ x)]
 
 
@@ -192,11 +159,11 @@ def _symplectic_rows(dim: int, picks: np.ndarray) -> np.ndarray:
         level[0] = 1 << (k - 1)
         level[1] = 1 << (k - 2)
         # _pair_transvections: route e1 to c1, then e2 to c2 pulled back
-        e1 = 1 << (k - 1)
-        t_part = _route(e1, c1, [], k)
+        e1, e2 = 1 << (k - 1), 1 << (k - 2)
+        t_part = _route(e1, c1, e2 | top, k)
         d = c2
         for h in reversed(t_part):
             d = d ^ np.where(_symp(h, d, k), h, 0)
-        for h in _route(e1 >> 1, d, [e1], k) + t_part:
+        for h in _route(e2, d, e1 | e2, k) + t_part:
             _rank_one(level, eta_swap(h, k), h)
     return rows

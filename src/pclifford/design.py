@@ -10,7 +10,12 @@ enumeration; exact potentials are rationals.
 
 Every count is a power of two, so an element enters only through its
 fixed-point exponent e = log2 f, or e = log2((f_+ + c_+)/2) when
-restricted, and its summand is 2^(e(t-1)).  One stream of exponents,
+restricted, and its summand is 2^(e(t-1)).  e is dim less one rank: of
+S + I, or restricted, of [S + I | 1] over [j | 0], which is r = rank
+[S + I; j] when c_+ = f_+ = 2^(dim - r) and r + 1 when c_+ = 0.  At
+even dim every row of S + I and j is even, so bit 0 is the parity of
+the other bits and can hold the augmented bit without changing the
+rank: a row of 64 labels stays in 64 bits.  One stream of exponents,
 fed by pick lists of the group module, is the only path from an
 element to a summand: exact mode feeds it every pick list and reduces
 it to a histogram {e: count}; Monte Carlo feeds it random pick lists.
@@ -137,11 +142,11 @@ def _parity_counts(rows: list[int], dim: int) -> tuple[int, int]:
 
 
 def _exponent(rows: list[int], dim: int, restricted: bool) -> int:
-    """e = log2 f, or log2((f_+ + c_+)/2) when restricted."""
-    if restricted:
-        f_plus, c_plus = _parity_counts(rows, dim)
-        return (f_plus + c_plus).bit_length() - 2
+    """e = log2 f, or log2((f_+ + c_+)/2) when restricted: dim less the
+    rank of S + I, or of its rows with bit 0 set over j with bit 0 clear."""
     kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
+    if restricted:
+        kicked = [r | 1 for r in kicked] + [(1 << dim) - 2]
     return dim - rank_ints(kicked)
 
 
@@ -297,14 +302,28 @@ def parity_frame_potential(
 
 
 def haar_frame_potential(t: int, N: int) -> int:
-    """Haar reference: Catalan number for N = 2, t! for N >= t."""
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    if N == 2:
-        return math.comb(2 * t, t) // (t + 1)
-    if N >= t:
-        return math.factorial(t)
-    raise ValueError(f"no closed form available for t={t}, N={N}")
+    """Haar reference: the sum of (f^lam)^2 over the partitions lam of t
+    with at most N rows, f^lam from hook lengths.  It counts the
+    permutations of t with no increasing subsequence longer than N
+    (Rains, EJC 1998): the Catalan number for N = 2, t! for N >= t."""
+    if t < 1 or N < 1:
+        raise ValueError("order and dimension must be >= 1")
+
+    def shapes(rest: int, rows: int, largest: int):
+        """Partitions of rest into at most rows parts, none above largest."""
+        if rest == 0:
+            yield []
+        elif rows:
+            for part in range(min(rest, largest), 0, -1):
+                for tail in shapes(rest - part, rows - 1, part):
+                    yield [part] + tail
+
+    total = 0
+    for lam in shapes(t, N, t):
+        cols = [sum(p > j for p in lam) for j in range(lam[0])]
+        hooks = math.prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p))
+        total += (math.factorial(t) // hooks) ** 2
+    return total
 
 
 # ---------------------------------------------------------------------------

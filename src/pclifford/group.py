@@ -10,7 +10,9 @@ standard basis vector (one symplectic pair for Sp) and recurses on the
 stabilizer.  At odd level N the all-ones vector cannot be a column of
 an orthogonal matrix, so that level has 2**(N-1) - 1 choices rather
 than 2**(N-1); the odd levels are what make |O(2n)| smaller than
-|Sp(2n)|.
+|Sp(2n)|.  A symplectic level routes (e1, e2) to (c1, c2) by at most
+four transvections; c2 and the route middles come in closed form
+(compare Koenig and Smolin, arXiv:1406.2170), never from a solve.
 
 Pick-list contract.  group_rows(kind, dim, picks) builds every element;
 picks holds one number per entry s of level_sizes(kind, dim), with
@@ -44,7 +46,7 @@ from ._bits import (
     symp_pauli,
     top_bit,
 )
-from .f2core import BitMatrix, BitVec, dot, rref_ints, symp_product
+from .f2core import BitMatrix, BitVec, dot, symp_product
 from .strings import MajoranaString, parse_string, format_string, zeta_coeff
 
 __all__ = [
@@ -62,6 +64,7 @@ __all__ = [
     "group_order",
     "level_sizes",
     "level_bits",
+    "LABEL_CAP",
     "group_rows",
     "decompose_orthogonal",
     "reflection_product",
@@ -218,6 +221,11 @@ def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
 # pick lists: level sizes, group orders, row builders
 
 
+# the most labels of a group element built from a pick list: its level
+# sizes and rows take dim^2 bits, and the build time grows about as dim^2.4
+LABEL_CAP = 4096
+
+
 def _check_group(kind: str, dim: int) -> None:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -228,8 +236,11 @@ def _check_group(kind: str, dim: int) -> None:
 
 
 def level_sizes(kind: str, dim: int) -> list[int]:
-    """Radix of each pick-list entry, in draw order."""
+    """Radix of each pick-list entry, in draw order, for at most LABEL_CAP
+    labels."""
     _check_group(kind, dim)
+    if dim > LABEL_CAP:
+        raise ValueError(f"dimension {dim} exceeds the cap of {LABEL_CAP} labels on group elements")
     if kind == "orthogonal":
         # odd-parity first columns; the all-ones vector is impossible at odd k
         return [(1 << (k - 1)) - (k & 1) for k in range(dim, 1, -1)]
@@ -265,15 +276,15 @@ def group_rows(kind: str, dim: int, picks: Sequence[int]) -> list[int]:
 
 
 def _index_picks(kind: str, dim: int, index: int) -> list[int]:
-    """index - 1 as mixed-radix digits, the first entry least significant."""
-    order = group_order(kind, dim)
-    if not 1 <= index <= order:
-        raise ValueError(f"index {index} out of range 1..{order}")
+    """index - 1 as mixed-radix digits, the first entry least significant;
+    in range exactly when nothing remains, so the order is not formed."""
     rem = index - 1
     picks = []
     for s in level_sizes(kind, dim):
         rem, digit = divmod(rem, s)
         picks.append(digit)
+    if index < 1 or rem:
+        raise ValueError(f"index {index} out of range 1..{group_order(kind, dim)}")
     return picks
 
 
@@ -318,29 +329,27 @@ def sample_orthogonal_random(dim: int, seed=None) -> OrthogonalMap:
 # symplectic builder (pauli basis internally)
 
 
-def _route(e: int, x: int, fixed: list[int], dim: int) -> list[int]:
-    """At most two transvection vectors taking e to x and fixing fixed; the
-    middle w solves <v, w> = 1 for v in fixed + [e, x] with free bits 0."""
+def _route(e: int, x: int, w: int, dim: int) -> list[int]:
+    """At most two transvection vectors taking e to x: e ^ x when <e, x> =
+    1, else two through a middle w with <e, w> = <w, x> = 1."""
     if x == e:
         return []
-    if symp_pauli(e, x, dim):
-        return [e ^ x]
-    red, pivots = rref_ints((eta_swap(v, dim) << 1) | 1 for v in fixed + [e, x])
-    assert pivots[-1], "inconsistent transvection constraints"
-    w = sum(1 << (p - 1) for row, p in zip(red, pivots) if row & 1)
-    return [e ^ w, w ^ x]
+    return [e ^ x] if symp_pauli(e, x, dim) else [e ^ w, w ^ x]
 
 
 def _pair_transvections(c1: int, c2: int, dim: int) -> list[int]:
     """Transvection vectors routing (e1, e2) to (c1, c2), applied in list
-    order; c1 nonzero and <c1, c2> = 1."""
-    e1 = 1 << (dim - 1)
-    t_part = _route(e1, c1, [], dim)
+    order; c1 nonzero and <c1, c2> = 1.  The middles are the echelon
+    solutions with free bits 0: w = e2 | top_bit(eta c1) to c1 (eta c1 has
+    no e1 bit when <e1, c1> = 0), and w = e1 | e2 to d = c2 pulled back,
+    which fixes e1 because <e1, d> = <c1, c2> = 1."""
+    e1, e2 = 1 << (dim - 1), 1 << (dim - 2)
+    t_part = _route(e1, c1, e2 | top_bit(eta_swap(c1, dim)), dim)
     d = c2
     for h in reversed(t_part):
         if symp_pauli(h, d, dim):
             d ^= h
-    return _route(e1 >> 1, d, [e1], dim) + t_part
+    return _route(e2, d, e1 | e2, dim) + t_part
 
 
 def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:

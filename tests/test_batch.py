@@ -2,9 +2,9 @@
 
 group_rows_batch must equal group_rows on every pick list, rank_batch
 must equal rank_ints, and the exponents of a chunk must equal _exponent
-element by element.  Dimension 64 is the edge of the uint64 rows: there
-the augmented rows of the restricted rank and of the transvection
-routing need a 65th bit, which lives in a separate array.
+element by element.  Dimension 64 is the edge of the uint64 rows; the
+restricted rank writes its augmented bit into bit 0, so no row needs a
+65th bit.
 """
 
 import itertools
@@ -22,12 +22,14 @@ from hypothesis import given, settings, strategies as st
 from pclifford.batch import exponents, group_rows_batch, index_picks, rank_batch
 from pclifford.design import (
     _exponent,
+    _parity_counts,
     fixed_point_profile,
     frame_potential,
     parity_frame_potential,
 )
 from pclifford.f2core import rank_ints
 from pclifford.group import (
+    LABEL_CAP,
     _index_picks,
     group_order,
     group_rows,
@@ -106,21 +108,14 @@ def test_rank_batch_matches_rank_ints(width, data):
             max_size=5,
         )
     )
-    low = data.draw(
-        st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=len(rows), max_size=len(rows))
-    )
     packed = np.array(rows, np.uint64).T
     assert rank_batch(packed).tolist() == [rank_ints(r) for r in rows]
-    # the low bit is the 65th bit of a row of 64
-    want = [rank_ints((x << 1) | b for x, b in zip(r, lr)) for r, lr in zip(rows, low)]
-    assert rank_batch(packed, np.array(low).T).tolist() == want
 
 
 def test_rank_batch_of_dependent_rows():
     # equal rows, and a row that is the XOR of two others
     rows = np.array([[5, 5, 0], [3, 5, 6]], np.uint64).T
     assert rank_batch(rows).tolist() == [1, 2]
-    assert rank_batch(rows, np.array([[1, 0, 0], [0, 0, 1]], bool).T).tolist() == [2, 3]
 
 
 def with_restriction(cases):
@@ -142,6 +137,21 @@ def test_exponents_match_scalar_on_seeded_pick_lists(kind, dim, restricted):
     picks = seeded_pick_lists(kind, dim, 300, seed=dim + 1)
     want = [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
     assert exponents(kind, dim, restricted, picks).tolist() == want
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 64, 66, 130])
+def test_restricted_exponent_matches_the_two_rank_counts(dim):
+    """One rank with the augmented bit in bit 0 against the two ranks of
+    _parity_counts, (f_+ + c_+)/2 = 2^e: every element up to O(6)."""
+    if dim <= 6:
+        picks = every_pick_list("orthogonal", dim)
+    else:
+        picks = seeded_pick_lists("orthogonal", dim, 200, seed=dim)
+    rows = [group_rows("orthogonal", dim, p) for p in picks]
+    want = [sum(_parity_counts(r, dim)).bit_length() - 2 for r in rows]
+    assert [_exponent(r, dim, True) for r in rows] == want
+    if dim <= 64:
+        assert exponents("orthogonal", dim, True, picks).tolist() == want
 
 
 @pytest.mark.parametrize("kind, dim", [("orthogonal", 5), ("symplectic", 4)])
@@ -182,6 +192,15 @@ def test_level_bits_is_the_bit_count_of_the_level_sizes(kind):
         assert level_bits(kind, dim) == sum(s.bit_length() - 1 for s in level_sizes(kind, dim))
 
 
+def test_level_sizes_stop_at_the_label_cap():
+    assert LABEL_CAP == 4096 and len(level_sizes("symplectic", LABEL_CAP)) == LABEL_CAP
+    for kind in ("orthogonal", "symplectic"):
+        with pytest.raises(ValueError, match="cap of 4096 labels"):
+            level_sizes(kind, LABEL_CAP + 2)
+        # the order and the exact mode refuse from level_bits, which has no cap
+        assert level_bits(kind, LABEL_CAP + 2) > 8192
+
+
 def test_level_bits_validates_like_level_sizes():
     for kind, dim in (("orthogonal", 0), ("symplectic", 3), ("unitary", 4)):
         with pytest.raises(ValueError) as want:
@@ -214,6 +233,9 @@ def _cap_memory():
         (["frame", "--group", "o", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
         (["frame", "--group", "sp", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
         (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--exact"], "exact-mode cap"),
+        (["sample", "--group", "o", "--dim", "1000000"], "cap of 4096 labels"),
+        (["sample", "--group", "sp", "--dim", "1000000", "--index", "1"], "cap of 4096 labels"),
+        (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--samples", "1"], "cap of 4096 labels"),
     ],
 )
 def test_huge_dimensions_exit_within_a_second(argv, message):

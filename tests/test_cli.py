@@ -103,6 +103,9 @@ class TestSample:
     def test_bad_index(self, capsys):
         code, _, err = run(capsys, "sample", "--group", "o", "--dim", "3", "--index", "7")
         assert code == 1 and "out of range" in err
+        for index in ("0", "-5", "721"):
+            code, _, err = run(capsys, "sample", "--group", "sp", "--dim", "4", "--index", index)
+            assert code == 1 and f"index {index} out of range 1..720" in err
 
 
 class TestJw:

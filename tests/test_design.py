@@ -1,5 +1,7 @@
 """Fixed-point profiles, frame potentials, orbits, quotient embedding."""
 
+import bisect
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -185,11 +187,28 @@ class TestHaarReference:
         assert haar_frame_potential(4, 16) == 24
         assert haar_frame_potential(2, 2) == 2
 
-    def test_no_closed_form(self):
-        with pytest.raises(ValueError):
-            haar_frame_potential(5, 4)
+    def test_every_order_and_dimension(self):
+        assert haar_frame_potential(5, 4) == 119
+        assert haar_frame_potential(4, 3) == 23
+        assert [haar_frame_potential(t, 1) for t in range(1, 8)] == [1] * 7
         with pytest.raises(ValueError):
             haar_frame_potential(0, 2)
+        with pytest.raises(ValueError):
+            haar_frame_potential(3, 0)
+
+    def test_counts_permutations_by_longest_increasing_subsequence(self):
+        # Rains: permutations of t with no increasing subsequence past N
+        def longest(perm):
+            tails = []
+            for x in perm:
+                i = bisect.bisect_left(tails, x)
+                tails[i : i + 1] = [x]
+            return len(tails)
+
+        for t in range(1, 7):
+            lengths = [longest(p) for p in itertools.permutations(range(t))]
+            for N in range(1, t + 2):
+                assert haar_frame_potential(t, N) == sum(n <= N for n in lengths), (t, N)
 
 
 class TestOrbits:

@@ -6,7 +6,9 @@ map checks by transpose and product (plus S j = j for O), the symplectic
 builder that took the partner of c1 and the transvection middles from
 solve_affine, the encoder that accumulated S^T and transposed it, the
 decomposition that read columns bit by bit and peeled a block copy, and
-the quotient action as two matrix products.
+the quotient action as two matrix products.  The builder now takes both
+middles in closed form, e2 | top_bit(eta c1) and e1 | e2; they are
+checked pair by pair against the solve_affine routes.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from pclifford.design import _embedding_rows, quotient_action
 from pclifford.group import (
     OrthogonalMap,
     SymplecticMap,
+    _pair_transvections,
     decompose_orthogonal,
     group_order,
     group_rows,
@@ -283,6 +286,25 @@ def test_symplectic_check_agrees_on_one_bit_flips(data, half, seed, basis):
 
 # ---------------------------------------------------------------------------
 # builders and peels against the generic paths
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_closed_form_middles_match_solve_affine_on_every_pair(dim):
+    for c1 in range(1, 1 << dim):
+        for c2 in range(1 << dim):
+            if symp_pauli(c1, c2, dim):
+                assert _pair_transvections(c1, c2, dim) == ref_pair_transvections(c1, c2, dim)
+
+
+@pytest.mark.parametrize("dim", [64, 192])
+def test_closed_form_middles_match_solve_affine_on_seeded_pairs(dim):
+    rng = random.Random(dim)
+    for _ in range(1000):
+        c1 = rng.randrange(1, 1 << dim)
+        c2 = rng.getrandbits(dim)
+        if not symp_pauli(c1, c2, dim):
+            c2 ^= eta_swap(c1 & -c1, dim)  # <c1, eta (c1 & -c1)> = 1 flips <c1, c2>
+        assert _pair_transvections(c1, c2, dim) == ref_pair_transvections(c1, c2, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 4])

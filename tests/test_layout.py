@@ -171,8 +171,9 @@ def test_jw_matrix_guard_finds_the_calls(tmp_path):
     assert jw_matrix_builds(probe) == [2, 4]
 
 
-# group elements are built, checked and peeled through their own forms
-GENERIC_ALGEBRA = {"solve_affine", "make_form"}
+# group elements are built, checked and peeled through their own forms, and
+# the transvection middles come in closed form, not from an echelon solve
+GENERIC_ALGEBRA = {"solve_affine", "make_form", "rref_ints"}
 
 
 def names_used(path):
@@ -198,6 +199,7 @@ def test_name_guard_sees_imports_and_attributes(tmp_path):
         "from .f2core import solve_affine as solve\n"
         "from . import f2core\n"
         "f = f2core.make_form\n"
+        "red, pivots = f2core.rref_ints(rows)\n"
     )
     assert names_used(probe) & GENERIC_ALGEBRA == GENERIC_ALGEBRA
 
