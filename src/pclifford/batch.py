@@ -6,7 +6,7 @@ for rows of at most 64 bits, which fit a uint64:
 - index_picks: the pick lists of a range of group indices, read as
   mixed-radix numbers the way the index samplers of group read them;
 - group_rows_batch: group.group_rows, the pick-list builder of each group;
-- rank_batch: f2core.rank_ints;
+- rank_batch: f2core.rank_ints, by the same leading-bit echelon;
 - exponents: design._exponent, the fixed-point exponent of an element.
 
 A batch of packed rows is a (rows, B) uint64 array: row i of every
@@ -59,9 +59,10 @@ def rank_batch(rows: np.ndarray) -> np.ndarray:
     """rank_ints of each matrix of a batch: rows[i, b] is packed row i of
     matrix b, uint64.
 
-    Rows are reduced in turn by the reduced rows before them, taking
-    r ^ row when it is smaller: that clears the leading bit of row from
-    r, so the nonzero reduced rows have distinct leading bits.
+    The batch form of f2core's leading-bit echelon: each row is reduced
+    by the reduced rows before it, taking r ^ row when it is smaller, which
+    clears the leading bit of row from r; the nonzero reduced rows then have
+    distinct leading bits, and the rank is their count.
     """
     rows = np.asarray(rows, dtype=np.uint64)
     reduced = []

@@ -16,6 +16,7 @@ from pathlib import Path
 from .f2core import BitVec, format_matrix, make_form
 from .strings import BASES, MajoranaString, compose, format_string, parse_string
 from .group import (
+    LABEL_CAP,
     CliffordWord,
     braid_action,
     decompose_orthogonal,
@@ -35,7 +36,6 @@ from .stabilizer import (
     transform_isotropic,
 )
 from .design import frame_potential, orbit_decomposition, parity_frame_potential
-from . import dense
 
 DEFAULT_SEED = 271828
 
@@ -163,7 +163,10 @@ def _cmd_sample(ns: argparse.Namespace) -> int:
 
 
 def _cmd_jw(ns: argparse.Namespace) -> int:
-    sys.stdout.write(format_matrix(make_form("jw", _resolve_dim(ns))))
+    dim = _resolve_dim(ns)
+    if dim > LABEL_CAP:  # the matrix prints dim^2 characters
+        raise ValueError(f"dimension {dim} exceeds the cap of {LABEL_CAP} labels on the jw matrix")
+    sys.stdout.write(format_matrix(make_form("jw", dim)))
     return 0
 
 
@@ -236,6 +239,7 @@ def _suite_jw_involution(rng: random.Random):
 
 def _suite_string_composition(rng: random.Random):
     import numpy as np
+    from . import dense
 
     # every pair at 2 and 4 labels, then seeded pairs at 6
     pairs = [
@@ -255,6 +259,7 @@ def _suite_string_composition(rng: random.Random):
 
 def _suite_braid_conjugation(rng: random.Random):
     import numpy as np
+    from . import dense
 
     for _ in range(100):
         n = rng.randint(1, 3)

@@ -14,6 +14,8 @@ Structural matrices built here:
 * jw          upper triangle (diagonal included) of the complement of
               eta; involutive, and omega = W^T eta W
 
+rank_ints and rref_ints share one leading-bit echelon, {leading bit: row};
+the rank is its size, the reduced form its rows back-substituted once.
 All arithmetic is mod 2.  Phases never live at this layer.
 """
 
@@ -225,55 +227,47 @@ def make_form(kind: str, dim: int):
     if kind in ("eta", "eta_lower", "jw"):
         if dim % 2:
             raise ValueError(f"{kind} requires even dimension")
-        eta_rows = []
-        for i in range(1, dim + 1):
-            partner = i + 1 if i % 2 else i - 1
-            eta_rows.append(1 << (dim - partner))
+        # row i holds its pair partner: i + 1 for odd i, i - 1 for even i
+        eta_rows = [1 << (dim - (i + 1 if i % 2 else i - 1)) for i in range(1, dim + 1)]
         if kind == "eta":
             return BitMatrix(dim, dim, tuple(eta_rows))
-        if kind == "eta_lower":
-            rows = tuple(
-                eta_rows[i - 1] if i % 2 == 0 else 0 for i in range(1, dim + 1)
-            )
-            return BitMatrix(dim, dim, rows)
-        mask_full = (1 << dim) - 1
-        rows = []
-        for i in range(1, dim + 1):
-            keep = (1 << (dim - i + 1)) - 1
-            rows.append((eta_rows[i - 1] ^ mask_full) & keep)
-        return BitMatrix(dim, dim, tuple(rows))
+        if kind == "eta_lower":  # the entries of the even rows
+            return BitMatrix(dim, dim, tuple(r if k % 2 else 0 for k, r in enumerate(eta_rows)))
+        # row i: the ones at columns >= i less the partner
+        rows = tuple(((1 << (dim - k)) - 1) & ~r for k, r in enumerate(eta_rows))
+        return BitMatrix(dim, dim, rows)
     raise ValueError(f"unknown form kind {kind!r}")
 
 
-def rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form on packed rows.
-
-    Returns the nonzero reduced rows ordered by pivot column (leftmost
-    first) together with their pivot bit positions.  Deterministic:
-    pivots are always the leftmost set bit.
-    """
-    work: list[int] = []
-    pivots: list[int] = []
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """{leading bit: row}, each row XORed with the stored row at its
+    leading bit until that bit is new; zero rows are dropped."""
+    lead: dict[int, int] = {}
     for r in rows:
-        for pr, p in zip(work, pivots):
+        while r and (p := r.bit_length() - 1) in lead:
+            r ^= lead[p]
+        if r:
+            lead[p] = r
+    return lead
+
+
+def rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form on packed rows: the nonzero reduced rows,
+    leftmost pivot first, and their pivot bit positions.  Each echelon row,
+    leftmost pivot first, clears its pivot from the rows placed before it."""
+    lead = _echelon(rows)
+    pivots = sorted(lead, reverse=True)
+    done: list[int] = []
+    for p in pivots:
+        for k, r in enumerate(done):
             if (r >> p) & 1:
-                r ^= pr
-        if r == 0:
-            continue
-        p = r.bit_length() - 1
-        for k in range(len(work)):
-            if (work[k] >> p) & 1:
-                work[k] ^= r
-        pos = 0
-        while pos < len(work) and pivots[pos] > p:
-            pos += 1
-        work.insert(pos, r)
-        pivots.insert(pos, p)
-    return work, pivots
+                done[k] = r ^ lead[p]
+        done.append(lead[p])
+    return done, pivots
 
 
 def rank_ints(rows: Iterable[int]) -> int:
-    return len(rref_ints(rows)[0])
+    return len(_echelon(rows))
 
 
 @dataclass(frozen=True)

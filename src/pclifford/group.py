@@ -450,20 +450,17 @@ def reduce_to_elementary(a: BitVec) -> list[BitVec]:
     if a.bits == 0 or a.bits == full:
         raise ValueError("zero and all-ones vectors are excluded")
 
-    def rec(bits: int) -> list[int]:
-        if bits.bit_count() in (2, 4):
-            return [bits]
-        top3 = 0
+    # each step b is the top three bits and the lowest zero: it takes 2 from
+    # the weight, and the word is the steps, the weight-2/4 core, the steps back
+    bits, steps = a.bits, []
+    while bits.bit_count() not in (2, 4):
         x = bits
         for _ in range(3):
-            t = top_bit(x)
-            top3 |= t
-            x ^= t
+            x ^= top_bit(x)
         clear = ~bits & full
-        b = top3 | (clear & -clear)
-        return [b] + rec(bits ^ b) + [b]
-
-    return [BitVec(a.n, bits) for bits in rec(a.bits)]
+        steps.append((bits ^ x) | (clear & -clear))
+        bits ^= steps[-1]
+    return [BitVec(a.n, b) for b in steps + [bits] + steps[::-1]]
 
 
 # ---------------------------------------------------------------------------

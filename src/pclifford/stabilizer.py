@@ -16,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._bits import gather, householder_pair, right_reflect
-from .f2core import (
-    BitMatrix,
-    BitVec,
-    dot,
-    rref_ints,
-    solve_affine,
-    symp_product,
-)
-from .group import OrthogonalMap
+from ._bits import gather, householder_pair, right_reflect, row_parities
+from .f2core import BitMatrix, BitVec, dot, rref_ints, solve_affine
+from .group import LABEL_CAP, OrthogonalMap
 from .strings import MajoranaString, compose
 
 __all__ = [
@@ -65,11 +58,15 @@ class IsotropicSubspace:
                 raise ValueError("generator length does not match the mode count")
             if b.parity:
                 raise ValueError(f"odd-parity generator {b}")
-        for i, b in enumerate(self.basis):
-            for c in self.basis[i + 1 :]:
-                if symp_product(b, c, "majorana"):
-                    raise ValueError(f"generators {b} and {c} do not commute")
-        work, pivots = rref_ints([b.bits for b in self.basis])
+        # on even rows the Majorana product is the dot product; the top set
+        # bit of each row's parities against the later rows is its first clash
+        bits = [b.bits for b in self.basis]
+        for i, b in enumerate(bits):
+            clash = row_parities(bits[i + 1 :], b)
+            if clash:
+                c = self.basis[len(bits) - clash.bit_length()]
+                raise ValueError(f"generators {self.basis[i]} and {c} do not commute")
+        work, pivots = rref_ints(bits)
         if any(p == 0 for p in pivots) or len(work) != len(self.basis):
             raise ValueError("generators are linearly dependent")
         if len(work) > self.n:
@@ -174,6 +171,8 @@ def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
     n - 1 so the working tail is always at least 4 wide.
     """
     n2 = 2 * M.n
+    if n2 > LABEL_CAP:
+        raise ValueError(f"{n2} labels exceed the cap of {LABEL_CAP} labels on the encoder")
     if M.contains_all_ones():
         raise ValueError("all-ones vector lies in the subspace; run add_ancilla first")
     rows = [1 << (n2 - 1 - i) for i in range(n2)]

@@ -225,6 +225,19 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _assert_quick_refusal(argv, message):
+    res = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_memory,
+    )
+    assert res.returncode == 1 and message in res.stderr
+    assert float(res.stdout) < 1.0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -236,16 +249,16 @@ def _cap_memory():
         (["sample", "--group", "o", "--dim", "1000000"], "cap of 4096 labels"),
         (["sample", "--group", "sp", "--dim", "1000000", "--index", "1"], "cap of 4096 labels"),
         (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--samples", "1"], "cap of 4096 labels"),
+        (["jw", "--dim", "1000000"], "cap of 4096 labels"),
     ],
 )
 def test_huge_dimensions_exit_within_a_second(argv, message):
-    res = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        preexec_fn=_cap_memory,
-    )
-    assert res.returncode == 1 and message in res.stderr
-    assert float(res.stdout) < 1.0
+    _assert_quick_refusal(argv, message)
+
+
+def test_huge_stabilizer_header_exits_within_a_second(tmp_path):
+    # one generator of 200000 labels: the (2n)^2-bit encoder is refused
+    path = tmp_path / "huge.stab"
+    path.write_text("n=100000 r=1\n11" + "0" * 199998 + "\n")
+    _assert_quick_refusal(["stab-encode", str(path)], "cap of 4096 labels")
+

@@ -1,5 +1,8 @@
 """Packed F2 linear algebra: forms, products, solvers, text format."""
 
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -233,7 +236,61 @@ class TestSympProduct:
             symp_product(BitVec(3, 1), BitVec(3, 1))
 
 
+def ref_rref_ints(rows):
+    """rref_ints before the leading-bit echelon: an insertion-sorted pivot
+    list, each new pivot eliminated from every stored row at once."""
+    work: list[int] = []
+    pivots: list[int] = []
+    for r in rows:
+        for pr, p in zip(work, pivots):
+            if (r >> p) & 1:
+                r ^= pr
+        if r == 0:
+            continue
+        p = r.bit_length() - 1
+        for k in range(len(work)):
+            if (work[k] >> p) & 1:
+                work[k] ^= r
+        pos = 0
+        while pos < len(work) and pivots[pos] > p:
+            pos += 1
+        work.insert(pos, r)
+        pivots.insert(pos, p)
+    return work, pivots
+
+
+@st.composite
+def row_lists(draw):
+    """0-40 rows of 1-300 bits: fresh rows, zero rows, repeats of earlier
+    rows and XOR combinations of earlier rows."""
+    width = draw(st.integers(1, 300))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combo"]))
+        if kind == "zero":
+            rows.append(0)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.integers(0, (1 << width) - 1)))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(reduce(xor, draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4))))
+    return rows
+
+
 class TestRref:
+    @given(row_lists())
+    def test_rref_and_rank_match_the_reference(self, rows):
+        want = ref_rref_ints(rows)
+        assert rref_ints(rows) == want
+        assert rank_ints(rows) == len(want[0])
+
+    @given(row_lists())
+    def test_generator_input_matches_the_reference(self, rows):
+        want = ref_rref_ints(rows)
+        assert rref_ints(r for r in rows) == want
+        assert rank_ints(iter(rows)) == len(want[0])
+
     def test_rank_examples(self):
         assert rank_ints([0b110, 0b011, 0b101]) == 2
         assert rank_ints([0]) == 0

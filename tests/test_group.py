@@ -300,7 +300,54 @@ class TestDecomposeOrthogonal:
             assert reflection_product(decompose_orthogonal(S), 4) == S.m
 
 
+def ref_reduce_to_elementary(a):
+    """reduce_to_elementary as a recursion, one level per step: b h_x b."""
+    full = (1 << a.n) - 1
+
+    def rec(bits):
+        if bits.bit_count() in (2, 4):
+            return [bits]
+        top3 = 0
+        x = bits
+        for _ in range(3):
+            t = 1 << (x.bit_length() - 1)
+            top3 |= t
+            x ^= t
+        clear = ~bits & full
+        b = top3 | (clear & -clear)
+        return [b] + rec(bits ^ b) + [b]
+
+    return [BitVec(a.n, bits) for bits in rec(a.bits)]
+
+
+def random_even(rng, n):
+    """An even vector of n bits, neither zero nor all-ones."""
+    while True:
+        bits = rng.randrange(1, (1 << n) - 1)
+        if bits.bit_count() % 2 == 0:
+            return BitVec(n, bits)
+
+
 class TestReduceToElementary:
+    def test_matches_the_recursive_reference(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            a = random_even(rng, rng.randint(3, 300))
+            assert reduce_to_elementary(a) == ref_reduce_to_elementary(a)
+
+    def test_word_acts_as_the_reflection_at_4096_labels(self):
+        # about 2000 steps, past the depth at which a recursion fails
+        rng = random.Random(29)
+        a = random_even(rng, 4096)
+        word = reduce_to_elementary(a)
+        assert len(word) == a.weight - 3 and all(x.weight in (2, 4) for x in word)
+        for _ in range(3):
+            v = BitVec(4096, rng.getrandbits(4096))
+            got = v
+            for x in reversed(word):
+                got = apply_householder(x, got)
+            assert got == apply_householder(a, v)
+
     def test_low_weight_passthrough(self):
         assert reduce_to_elementary(bv("1100")) == [bv("1100")]
         assert reduce_to_elementary(bv("111100")) == [bv("111100")]

@@ -339,6 +339,13 @@ def test_importing_the_library_loads_no_batch_kernels():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
+def test_importing_the_cli_loads_no_numpy():
+    """Only the verify suites that compare with the dense oracle load it."""
+    code = "import sys, pclifford.cli\nassert 'numpy' not in sys.modules\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
 def itertools_products(path):
     """Line numbers naming itertools.product, as an attribute or an import."""
     found = []

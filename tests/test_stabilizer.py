@@ -106,6 +106,26 @@ class TestIsotropicSubspace:
         with pytest.raises(ValueError):
             M.coords(bv("0110"))
 
+    def test_names_the_first_pair_that_does_not_commute(self):
+        # the pairwise symp_product loop the row-parity check replaced
+        rng = random.Random(5)
+        clashes = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rows = [BitVec(2 * n, rng.randrange(1 << (2 * n))) for _ in range(rng.randint(1, n))]
+            rows = [BitVec(2 * n, b.bits ^ b.parity) for b in rows]  # even
+            first = next(
+                ((b, c) for i, b in enumerate(rows) for c in rows[i + 1 :] if symp_product(b, c)),
+                None,
+            )
+            if first is None:
+                continue
+            clashes += 1
+            with pytest.raises(ValueError) as err:
+                IsotropicSubspace(n, tuple(rows))
+            assert str(err.value) == f"generators {first[0]} and {first[1]} do not commute"
+        assert clashes > 50
+
     def test_contains_all_ones(self):
         assert canonical_isotropic(2, 2).contains_all_ones()
         assert not canonical_isotropic(2, 1).contains_all_ones()
@@ -135,6 +155,11 @@ class TestStabClifford:
                 std = canonical_isotropic(n, r)
                 for i, b in enumerate(std.basis):
                     assert S.m.mulvec(std.basis[i]) == b
+
+    def test_refuses_past_the_label_cap(self):
+        # checked before the (2n)^2-bit encoder exists
+        with pytest.raises(ValueError, match="4098 labels exceed the cap of 4096 labels"):
+            stab_clifford(canonical_isotropic(2049, 1))
 
     def test_rejects_all_ones_member(self):
         with pytest.raises(ValueError, match="add_ancilla"):
