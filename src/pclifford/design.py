@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,7 +332,20 @@ def haar_frame_potential(t: int, N: int) -> int:
 
 
 _TUPLE_BITS = 16  # at most 2^16 tuples, and a tuple order of at most 16
-_ORBIT_BUDGET = 1 << 24  # generators x tuples x tuple order
+
+
+def _orbit_generators(group: str, dim: int) -> list[tuple[int, int]]:
+    """Rank-one pairs (u, h), p -> p + (u^T p) h, that generate the group
+    orbit_decomposition acts with; its docstring says why they do."""
+    if group == "symplectic":
+        # x_k, z_k and z_k + z_(k+1): the last stops at the last pair
+        vecs = [v << k for k in range(0, dim, 2) for v in (2, 1, 5) if v << k >> dim == 0]
+        return [(eta_swap(a, dim), a) for a in vecs]
+    # adjacent transpositions h_(e_i + e_(i+1)), and h_1111 past 3 labels
+    vecs = [3 << i for i in range(dim - 1)]
+    if dim >= 4:
+        vecs.append(15 << (dim - 4))
+    return [(a, a) for a in vecs]
 
 
 def orbit_decomposition(
@@ -340,16 +354,32 @@ def orbit_decomposition(
     """Sorted orbit sizes of the generator closure on (space)^tuple_order.
 
     A generator is a rank-one pair (u, h) acting as p -> p + (u^T p) h,
-    the convention of _bits.rank_one.  Orthogonal generators are the
-    weight-2/4 reflections h_a = (a, a); symplectic generators are all
-    nonzero transvections (eta a, a).  The symplectic group does not act
-    on the even quotient (transvections move the all-ones vector), so
-    that combination is rejected.
+    the convention of _bits.rank_one.  The orthogonal group is the
+    closure of the weight-2/4 reflections h_a = (a, a), the symplectic
+    group that of all nonzero transvections T_a = (eta a, a).  The
+    symplectic group does not act on the even quotient (transvections
+    move the all-ones vector), so that combination is rejected.
 
-    Two limits bound the work, and a request beyond either raises
+    The orbits depend only on the closure, so a small generating set of
+    it serves.  O(N) takes the N - 1 adjacent transpositions h_(e_i +
+    e_(i+1)) and, for N >= 4, h_1111 on the last four labels: h_(e_i +
+    e_j) is the transposition (i j), so the transpositions give every
+    permutation P, and P h_a P^-1 = h_(Pa) makes every weight-4
+    reflection a conjugate of the one kept.  Sp(dim) takes the
+    transvections of x_k, z_k and z_k + z_(k+1), 3 dim / 2 - 1 in all:
+    their closure is transitive on the nonzero labels and
+    g T_a g^-1 = T_(ga), so it holds every transvection.  The tests
+    certify both sets by closure size and transitivity.
+
+    Each generator permutes the tuples, so an orbit is what a search
+    along the generator images reaches from any one of its tuples; a
+    bytearray marks the tuples seen, and the images of each generator
+    are one array of tuple indices.
+
+    One limit bounds the work, and a request beyond it raises
     ValueError before anything is enumerated: at most 2^16 tuples and a
-    tuple order of at most 16, and at most 2^24 for generators x tuples
-    x tuple order.
+    tuple order of at most 16.  With at most 3 dim / 2 generators that
+    is about 2^21 steps of the search.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -370,10 +400,7 @@ def orbit_decomposition(
             raise ValueError("symplectic groups need even dimension")
         if space == "even_quotient":
             raise ValueError("the symplectic group does not act on the even quotient")
-        gens = [(eta_swap(a, dim), a) for a in range(1, 1 << dim)]
-    elif group == "orthogonal":
-        gens = [(a, a) for a in range(1 << dim) if a.bit_count() in (2, 4)]
-    else:
+    elif group != "orthogonal":
         raise ValueError(f"unknown group {group!r}")
     j = (1 << dim) - 1
     # the even quotient: one point per pair {v, v + j} of even labels
@@ -383,33 +410,32 @@ def orbit_decomposition(
     ]
     npts = len(points)
     total = npts**tuple_order
-    if len(gens) * total * tuple_order > _ORBIT_BUDGET:
-        raise ValueError(
-            f"{len(gens)} generators x {total} tuples x tuple order {tuple_order} "
-            f"exceed the orbit work budget of 2^24"
-        )
     pos = {p: i for i, p in enumerate(points)}
     if space == "even_quotient":
         pos.update({p ^ j: i for i, p in enumerate(points)})
-    parent = list(range(total))  # union-find forest over tuple indices
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, h in gens:
+    images = []
+    for u, h in _orbit_generators(group, dim):
         img = [pos[p ^ (h if (u & p).bit_count() & 1 else 0)] for p in points]
         # tuple index: the first position is the least significant digit
-        timg = [0]
-        for _ in range(tuple_order):
-            timg = [img[d] + npts * r for r in timg for d in range(npts)]
-        for tidx, out in enumerate(timg):
-            ra, rb = find(tidx), find(out)
-            if ra != rb:
-                parent[ra] = rb
-    return sorted(Counter(map(find, range(total))).values())
+        timg = img
+        for _ in range(tuple_order - 1):
+            timg = [d + npts * r for r in timg for d in img]
+        images.append(array("l", timg))
+    seen = bytearray(total)
+    sizes = []
+    start = 0
+    while start >= 0:  # the first tuple not yet seen starts the next orbit
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the loop reaches the tuples it appends
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        sizes.append(len(orbit))
+        start = seen.find(0, start + 1)
+    return sorted(sizes)
 
 
 def orbit_count(dim: int, tuple_order: int, group: str, space: str = "full") -> int:

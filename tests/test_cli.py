@@ -321,7 +321,7 @@ class TestOrbits:
         [
             ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "10000000"),
             ("--group", "o", "--dim", "4", "--tuple-order", "100000000"),
-            ("--group", "sp", "--dim", "16"),
+            ("--group", "sp", "--dim", "18"),
         ],
     )
     def test_oversize_request_exits_quickly(self, capsys, argv):
@@ -331,6 +331,10 @@ class TestOrbits:
         assert code == 1 and out == ""
         assert "cap" in err or "budget" in err
         assert len(err) < 200  # names the limit, not a giant tuple count
+
+    def test_request_at_the_tuple_cap_answers(self, capsys):
+        code, out, _ = run(capsys, "orbits", "--group", "sp", "--dim", "16")
+        assert code == 0 and json.loads(out)["sizes"] == [1, 65535]
 
 
 class TestVerify:

@@ -3,11 +3,15 @@
 import bisect
 import itertools
 import json
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pclifford._bits import eta_swap
 from pclifford.f2core import BitMatrix, BitVec, parse_matrix
 from pclifford.group import (
     OrthogonalMap,
@@ -18,6 +22,7 @@ from pclifford.group import (
 )
 from pclifford.design import (
     FixedPointProfile,
+    _orbit_generators,
     fixed_point_profile,
     frame_potential,
     haar_frame_potential,
@@ -211,6 +216,111 @@ class TestHaarReference:
                 assert haar_frame_potential(t, N) == sum(n <= N for n in lengths), (t, N)
 
 
+# ---------------------------------------------------------------------------
+# orbit_decomposition before the small generating sets: the union of every
+# tuple under every weight-2/4 reflection or nonzero transvection
+
+_TUPLE_BITS = 16  # at most 2^16 tuples, and a tuple order of at most 16
+_ORBIT_BUDGET = 1 << 24  # generators x tuples x tuple order
+
+
+def ref_orbit_decomposition(
+    dim: int, tuple_order: int, group: str, space: str = "full"
+) -> list[int]:
+    """Sorted orbit sizes of the generator closure on (space)^tuple_order.
+
+    A generator is a rank-one pair (u, h) acting as p -> p + (u^T p) h,
+    the convention of _bits.rank_one.  Orthogonal generators are the
+    weight-2/4 reflections h_a = (a, a); symplectic generators are all
+    nonzero transvections (eta a, a).  The symplectic group does not act
+    on the even quotient (transvections move the all-ones vector), so
+    that combination is rejected.
+
+    Two limits bound the work, and a request beyond either raises
+    ValueError before anything is enumerated: at most 2^16 tuples and a
+    tuple order of at most 16, and at most 2^24 for generators x tuples
+    x tuple order.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if tuple_order < 1:
+        raise ValueError("tuple order must be >= 1")
+    if space not in ("full", "even_quotient"):
+        raise ValueError(f"unknown space {space!r}")
+    if space == "even_quotient" and dim % 2:
+        raise ValueError("even quotient needs even dimension")
+    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
+    if max(bits, 1) * tuple_order > _TUPLE_BITS:  # one point: order <= 16
+        raise ValueError(
+            f"{tuple_order}-tuples of 2^{bits} points exceed the tuple cap "
+            f"(at most 2^{_TUPLE_BITS} tuples and tuple order {_TUPLE_BITS})"
+        )
+    if group == "symplectic":
+        if dim % 2:
+            raise ValueError("symplectic groups need even dimension")
+        if space == "even_quotient":
+            raise ValueError("the symplectic group does not act on the even quotient")
+        gens = [(eta_swap(a, dim), a) for a in range(1, 1 << dim)]
+    elif group == "orthogonal":
+        gens = [(a, a) for a in range(1 << dim) if a.bit_count() in (2, 4)]
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    j = (1 << dim) - 1
+    # the even quotient: one point per pair {v, v + j} of even labels
+    points = [
+        v for v in range(1 << dim)
+        if space == "full" or (v.bit_count() % 2 == 0 and v <= v ^ j)
+    ]
+    npts = len(points)
+    total = npts**tuple_order
+    if len(gens) * total * tuple_order > _ORBIT_BUDGET:
+        raise ValueError(
+            f"{len(gens)} generators x {total} tuples x tuple order {tuple_order} "
+            f"exceed the orbit work budget of 2^24"
+        )
+    pos = {p: i for i, p in enumerate(points)}
+    if space == "even_quotient":
+        pos.update({p ^ j: i for i, p in enumerate(points)})
+    parent = list(range(total))  # union-find forest over tuple indices
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, h in gens:
+        img = [pos[p ^ (h if (u & p).bit_count() & 1 else 0)] for p in points]
+        # tuple index: the first position is the least significant digit
+        timg = [0]
+        for _ in range(tuple_order):
+            timg = [img[d] + npts * r for r in timg for d in range(npts)]
+        for tidx, out in enumerate(timg):
+            ra, rb = find(tidx), find(out)
+            if ra != rb:
+                parent[ra] = rb
+    return sorted(Counter(map(find, range(total))).values())
+
+
+def _reference_cases():
+    """Every request the reference answers, up to the cost of its O(8)
+    pairs, about a second: generators x tuples at most 98 x 2^16."""
+    groups, spaces = ("orthogonal", "symplectic"), ("full", "even_quotient")
+    for group, dim, space in itertools.product(groups, range(1, 17), spaces):
+        if (group, space) == ("symplectic", "even_quotient"):
+            continue
+        if dim % 2 and (group, space) != ("orthogonal", "full"):
+            continue
+        gens = (1 << dim) - 1 if group == "symplectic" else math.comb(dim, 2) + math.comb(dim, 4)
+        bits = dim - 2 if space == "even_quotient" else dim
+        for k in range(1, 17):
+            if max(bits, 1) * k <= 16 and gens << (bits * k) <= 98 << 16:
+                yield group, dim, space, k
+
+
+REFERENCE_CASES = list(_reference_cases())
+
+
 class TestOrbits:
     def test_orthogonal_4_orbits(self):
         sizes = orbit_decomposition(4, 1, "orthogonal")
@@ -222,8 +332,10 @@ class TestOrbits:
         assert orbit_decomposition(6, 1, "orthogonal") == [1, 1, 30, 32]
 
     def test_symplectic_transitive_on_nonzero(self):
-        assert orbit_decomposition(2, 1, "symplectic") == [1, 3]
-        assert orbit_decomposition(4, 1, "symplectic") == [1, 15]
+        """With g T_a g^-1 = T_(ga), this makes every transvection a
+        conjugate of a generator: the generating set is certified."""
+        for dim in range(2, 17, 2):
+            assert orbit_decomposition(dim, 1, "symplectic") == [1, (1 << dim) - 1]
 
     def test_even_quotient_points(self):
         sizes = orbit_decomposition(4, 1, "orthogonal", "even_quotient")
@@ -258,14 +370,56 @@ class TestOrbits:
         [
             (2, 17, "orthogonal", "even_quotient"),  # one point, tuple order > 16
             (4, 5, "orthogonal", "full"),  # 2^20 tuples
-            (18, 1, "orthogonal", "even_quotient"),  # 2^16 tuples, 3213 generators
-            (16, 1, "symplectic", "full"),  # 2^16 tuples, 2^16 - 1 generators
-            (8, 3, "symplectic", "full"),  # 255 generators on 2^24 tuples
+            (8, 3, "symplectic", "full"),  # 2^24 tuples
         ],
     )
     def test_work_limits(self, dim, k, group, space):
-        with pytest.raises(ValueError, match=r"2\^(16|24)"):
+        with pytest.raises(ValueError, match=r"2\^16"):
             orbit_decomposition(dim, k, group, space)
+
+    @pytest.mark.parametrize(
+        "dim, group, space",
+        [
+            (18, "orthogonal", "even_quotient"),  # 2^16 points, 18 generators
+            (16, "symplectic", "full"),  # 2^16 points, 23 generators
+        ],
+    )
+    def test_single_labels_at_the_tuple_cap(self, dim, group, space):
+        start = time.perf_counter()
+        assert orbit_decomposition(dim, 1, group, space) == [1, 65535]
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "group, dim",
+        [("orthogonal", dim) for dim in range(1, 7)] + [("symplectic", 2), ("symplectic", 4)],
+    )
+    def test_generator_closure_is_the_whole_group(self, group, dim):
+        """Each generator preserves the form, so a closure of the group's
+        order is the group."""
+        identity = tuple(1 << i for i in range(dim))  # the images of the basis
+        closure, stack = {identity}, [identity]
+        while stack:
+            images = stack.pop()
+            for u, h in _orbit_generators(group, dim):
+                out = tuple(p ^ (h if (u & p).bit_count() & 1 else 0) for p in images)
+                if out not in closure:
+                    closure.add(out)
+                    stack.append(out)
+        assert len(closure) == group_order(group, dim)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(1, 9) for k in range(1, 17) if 2 * n * k <= 16],
+    )
+    def test_even_quotient_of_orthogonal_is_symplectic(self, n, k):
+        """O(2n + 2) acts on its even quotient as Sp(2n) (README)."""
+        want = orbit_decomposition(2 * n, k, "symplectic")
+        assert orbit_decomposition(2 * n + 2, k, "orthogonal", "even_quotient") == want
+
+    @pytest.mark.parametrize("group, dim, space, k", REFERENCE_CASES)
+    def test_matches_the_reference(self, group, dim, space, k):
+        want = ref_orbit_decomposition(dim, k, group, space)
+        assert orbit_decomposition(dim, k, group, space) == want
 
 
 class TestQuotientAction:

@@ -188,7 +188,7 @@ def test_symplectic_order_matches_closed_form(dim):
 # ---------------------------------------------------------------------------
 # exact potentials, the order of the Monte Carlo float sums and orbit sizes,
 # pinned on the implementation that computed each mode in its own loop; the
-# O(8) pair orbits are also the largest request the orbit work budget admits
+# O(8) pair orbits fill the tuple cap of 2^16 tuples
 
 EXACT_POTENTIALS = {
     ("orthogonal", 1, False): ("1", "2", "4", "8"),

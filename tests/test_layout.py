@@ -346,6 +346,18 @@ def test_importing_the_cli_loads_no_numpy():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
+def test_orbit_search_loads_no_numpy():
+    """orbit_decomposition stays pure Python."""
+    code = (
+        "import sys\n"
+        "from pclifford import cli\n"
+        "assert cli.main(['orbits', '--group', 'sp', '--dim', '8']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
 def itertools_products(path):
     """Line numbers naming itertools.product, as an attribute or an import."""
     found = []
