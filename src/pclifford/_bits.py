@@ -86,14 +86,6 @@ def row_parities(rows, x: int) -> int:
     return acc
 
 
-def scatter(rows: list[int], x: int, n: int, value: int) -> None:
-    """XOR value into every row selected by the set bits of x, in place."""
-    while x:
-        p = (x & -x).bit_length() - 1
-        rows[n - 1 - p] ^= value
-        x &= x - 1
-
-
 def rank_one(rows: list[int], u: int, h: int, n: int) -> None:
     """In-place left multiplication by I + h u^T on packed rows.
 

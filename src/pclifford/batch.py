@@ -4,7 +4,8 @@ Each function mirrors a scalar one and equals it element by element,
 for rows of at most 64 bits, which fit a uint64:
 
 - index_picks: the pick lists of a range of group indices, read as
-  mixed-radix numbers the way the index samplers of group read them;
+  mixed-radix numbers the way the index samplers of group read them, in
+  uint64 only: exact mode enumerates at most 10^7 elements;
 - group_rows_batch: group.group_rows, the pick-list builder of each group;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
 - exponents: design._exponent, the fixed-point exponent of an element.
@@ -31,10 +32,8 @@ __all__ = ["index_picks", "group_rows_batch", "rank_batch", "exponents"]
 def index_picks(sizes: list[int], lo: int, hi: int) -> np.ndarray:
     """(hi - lo, len(sizes)) pick lists of the indices lo + 1 .. hi: index
     - 1 as mixed-radix digits, the first entry least significant."""
-    # Python ints where an index or a radix passes 64 bits
-    dtype = np.uint64 if max([hi, *sizes]) <= 1 << 64 else object
-    rem = np.arange(lo, hi, dtype=dtype)
-    picks = np.empty((len(rem), len(sizes)), dtype)
+    rem = np.arange(lo, hi, dtype=np.uint64)
+    picks = np.empty((len(rem), len(sizes)), np.uint64)
     for i, s in enumerate(sizes):
         picks[:, i] = rem % s
         rem = rem // s

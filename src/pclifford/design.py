@@ -20,12 +20,13 @@ fed by pick lists of the group module, is the only path from an
 element to a summand: exact mode feeds it every pick list and reduces
 it to a histogram {e: count}; Monte Carlo feeds it random pick lists.
 
-The stream runs in chunks of at most 1024 pick lists, which bounds its
-memory to about a megabyte.  Up to 64 labels the batch module builds a
-chunk as uint64 rows and ranks them in numpy; exact mode decodes each
-chunk of indices by mixed radix and adds its histogram.  Past 64 labels
-a row does not fit a uint64, and the chunk goes through the scalar
-group_rows and _exponent one pick list at a time.
+Up to 64 labels the stream runs in chunks of at most 1024 pick lists:
+the batch module builds a chunk as uint64 rows and ranks them in numpy.
+A Monte Carlo chunk at 64 labels peaks near 5 MB, half of it the pick
+lists as Python ints.  Exact mode decodes each chunk of indices by mixed radix
+and adds its histogram.  Past 64 labels a row does not fit a uint64, so
+a chunk is one pick list, built by the scalar group_rows and ranked by
+_exponent: the stream holds one element, dim Python ints, at a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -166,11 +167,11 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
-# pick lists per batch: bounds the memory of the stream, about 1 MB
-_CHUNK = 1024
+# group orders exact mode enumerates: every index and radix fits a uint64
+_EXACT_BUDGET = 10**7
 
 
-def _exact_refusal(kind: str, dim: int, t: int, budget: int) -> Optional[str]:
+def _exact_refusal(kind: str, dim: int, t: int) -> Optional[str]:
     """Why exact mode refuses a request, or None when it takes it."""
     if dim * (t - 1) > _EXACT_BITS:
         return (
@@ -180,11 +181,11 @@ def _exact_refusal(kind: str, dim: int, t: int, budget: int) -> Optional[str]:
     # the order is at least 2^low: a huge one is refused from its bit count,
     # before the level sizes or a product too long to print are formed
     low = level_bits(kind, dim)
-    if low >= max(budget.bit_length(), _EXACT_BITS):
-        return f"group order of at least 2^{low} exceeds the exact-mode budget {budget}"
+    if low >= _EXACT_BITS:
+        return f"group order of at least 2^{low} exceeds the exact-mode budget {_EXACT_BUDGET}"
     order = group_order(kind, dim)
-    if order > budget:
-        return f"group order {order} exceeds the exact-mode budget {budget}"
+    if order > _EXACT_BUDGET:
+        return f"group order {order} exceeds the exact-mode budget {_EXACT_BUDGET}"
     return None
 
 
@@ -194,7 +195,6 @@ def _potential(
     t: int,
     restricted: bool,
     mode: str,
-    budget: int,
     seed,
     samples: int,
 ) -> FramePotentialReport:
@@ -205,15 +205,17 @@ def _potential(
         raise ValueError("parity restriction needs O(N) with N even")
     from . import batch  # numpy, loaded with the first potential
 
+    # pick lists per chunk: a uint64 batch up to 64 labels, else one at a time
+    chunk = 1024 if dim <= 64 else 1
     if mode == "exact":
-        refusal = _exact_refusal(kind, dim, t, budget)
+        refusal = _exact_refusal(kind, dim, t)
         if refusal:
             raise ValueError(refusal)
         sizes, order = level_sizes(kind, dim), group_order(kind, dim)
         # a histogram ignores the order of the pick lists
         chunks = (
-            batch.index_picks(sizes, lo, min(lo + _CHUNK, order))
-            for lo in range(0, order, _CHUNK)
+            batch.index_picks(sizes, lo, min(lo + chunk, order))
+            for lo in range(0, order, chunk)
         )
     elif mode == "monte_carlo":
         if samples < 1:
@@ -226,8 +228,8 @@ def _potential(
         sizes = level_sizes(kind, dim)
         # in sample order; the last chunk draws only the samples that remain
         chunks = (
-            [[rng.randrange(s) for s in sizes] for _ in range(min(_CHUNK, samples - lo))]
-            for lo in range(0, samples, _CHUNK)
+            [[rng.randrange(s) for s in sizes] for _ in range(min(chunk, samples - lo))]
+            for lo in range(0, samples, chunk)
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -256,7 +258,7 @@ def _potential(
         finite = False
     if not finite:
         # point at --exact only where exact mode takes the request
-        refusal = _exact_refusal(kind, dim, t, budget)
+        refusal = _exact_refusal(kind, dim, t)
         hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
         raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples
@@ -282,24 +284,22 @@ def frame_potential(
     dim: int,
     t: int,
     mode: str = "exact",
-    budget: int = 10**7,
     seed=None,
     samples: int = 10**6,
 ) -> FramePotentialReport:
     """Group average of f(S)^(t-1), exact or Monte Carlo."""
-    return _potential(kind, dim, t, False, mode, budget, seed, samples)
+    return _potential(kind, dim, t, False, mode, seed, samples)
 
 
 def parity_frame_potential(
     dim: int,
     t: int,
     mode: str = "exact",
-    budget: int = 10**7,
     seed=None,
     samples: int = 10**6,
 ) -> FramePotentialReport:
     """Orthogonal-ensemble average of ((f_+ + c_+)/2)^(t-1)."""
-    return _potential("orthogonal", dim, t, True, mode, budget, seed, samples)
+    return _potential("orthogonal", dim, t, True, mode, seed, samples)
 
 
 def haar_frame_potential(t: int, N: int) -> int:

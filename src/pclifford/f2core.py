@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._bits import gather, row_parities, scatter, symp_pauli
+from ._bits import gather, row_parities, symp_pauli
 
 __all__ = [
     "BitVec",
@@ -147,10 +147,11 @@ class BitMatrix:
         return BitVec(self.rows, bits)
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            scatter(out, r, self.cols, 1 << (self.rows - 1 - i))
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        """Column j is every cols-th character of the rows printed end to end."""
+        cols, spec = self.cols, f"0{self.cols}b"
+        text = "".join([format(r, spec) for r in self.data])
+        out = tuple(int(text[j::cols], 2) for j in range(cols))
+        return BitMatrix(cols, self.rows, out)
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:

@@ -71,7 +71,10 @@ def _lower(v: BitVec, w: BitVec, basis: str) -> int:
 
 
 def quad_lower(v: BitVec, basis: str = "majorana") -> int:
-    """q(v) = v^T L v with L the strictly lower triangle of the form."""
+    """q(v) = v^T L v with L the strictly lower triangle of the form; for
+    omega_lower it counts the C(|v|, 2) pairs of set entries: bit 1 of |v|."""
+    if basis == "majorana":
+        return (v.weight >> 1) & 1
     return _lower(v, v, basis)
 
 

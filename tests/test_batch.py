@@ -13,6 +13,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,14 +162,6 @@ def test_index_picks_match_the_index_samplers(kind, dim):
     assert got == [_index_picks(kind, dim, index) for index in range(1, order + 1)]
 
 
-@pytest.mark.parametrize("lo", [0, 1 << 70])
-def test_index_picks_past_64_bits(lo):
-    # an index or a radix past 64 bits: the digits are Python ints
-    sizes = [3, 1 << 80, 5]
-    got = index_picks(sizes, lo, lo + 2).tolist()
-    assert got == [[i % 3, i // 3 % (1 << 80), i // 3 >> 80] for i in (lo, lo + 1)]
-
-
 def test_monte_carlo_above_64_bits_takes_the_scalar_path():
     """Past 64 labels each sample is a sampler call and a rank, as before."""
     dim, t, n = 66, 2, 3
@@ -180,6 +173,19 @@ def test_monte_carlo_above_64_bits_takes_the_scalar_path():
     rng = random.Random(7)
     profiles = [fixed_point_profile(sample_orthogonal_random(dim, rng)) for _ in range(n)]
     assert par.estimate == sum(((p.f_plus + p.c_plus) // 2) ** 2 for p in profiles) / n
+
+
+def test_monte_carlo_above_64_bits_holds_one_pick_list():
+    """Past 64 labels a chunk is one pick list: 100 pick lists of O(130),
+    129 Python ints each, take about 0.6 MB, one pick list and its element
+    about 40 kB."""
+    tracemalloc.start()
+    try:
+        frame_potential("orthogonal", 130, 2, mode="monte_carlo", seed=1, samples=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 # ---------------------------------------------------------------------------

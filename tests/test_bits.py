@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pclifford._bits import (
     eta_swap,
@@ -18,7 +18,6 @@ from pclifford._bits import (
     pair_mask,
     prefix_parity,
     rank_one,
-    scatter,
     symp_pauli,
 )
 from pclifford.f2core import BitMatrix, BitVec, make_form, symp_product
@@ -88,6 +87,18 @@ def ref_cross_lower(v, w):
         acc ^= (w.bits >> (p + 1)).bit_count() & 1
         x &= x - 1
     return acc
+
+
+def ref_transpose(m):
+    """The set-bit scatter transpose: row i goes, as one bit, into the
+    output row of each of its set columns."""
+    out = [0] * m.cols
+    for i, r in enumerate(m.data):
+        while r:
+            p = (r & -r).bit_length() - 1
+            out[m.cols - 1 - p] ^= 1 << (m.rows - 1 - i)
+            r &= r - 1
+    return BitMatrix(m.cols, m.rows, tuple(out))
 
 
 def ref_prefix_parity(x, n):
@@ -161,7 +172,8 @@ def check_majorana_lower(n, seed):
     v, w = (BitVec(n, x) for x in words(seed, n, 2))
     assert _lower(v, w, "majorana") == ref_cross_lower(v, w)
     assert _lower(v, v, "majorana") == ref_cross_lower(v, v)
-    # the closed form it replaced: q(v) = C(|v|, 2) mod 2, at odd lengths too
+    assert quad_lower(v) == ref_cross_lower(v, v)
+    # the closed form: q(v) = C(|v|, 2) mod 2, at odd lengths too
     assert quad_lower(v) == (v.weight * (v.weight - 1) // 2) & 1
 
 
@@ -173,6 +185,13 @@ def test_prefix_parity_matches_bit_loop(n, seed):
 @given(lengths, seeds)
 def test_majorana_lower_matches_loop(n, seed):
     check_majorana_lower(n, seed)
+
+
+def test_majorana_quad_lower_every_length():
+    for n in range(1, MAX_LEN + 1):
+        for x in words(n, n, 4):
+            v = BitVec(n, x)
+            assert quad_lower(v) == ref_cross_lower(v, v)
 
 
 # seeded cases at lengths the hypothesis range does not reach
@@ -216,17 +235,14 @@ def test_transvection_matches_loop(n, seed, zero):
 
 @settings(max_examples=40, deadline=None)
 @given(lengths, seeds)
-def test_gather_and_scatter_match_loops(n, seed):
-    rows = words(seed, n, n + 2)
-    x, value = rows.pop(), rows.pop()
+def test_gather_matches_loop(n, seed):
+    rows = words(seed, n, n + 1)
+    x = rows.pop()
     acc = 0
     for i in range(n):
         if (x >> (n - 1 - i)) & 1:
             acc ^= rows[i]
     assert gather(rows, x, n) == acc
-    want = [r ^ value if (x >> (n - 1 - i)) & 1 else r for i, r in enumerate(rows)]
-    scatter(rows, x, n, value)
-    assert rows == want
 
 
 shapes = st.tuples(lengths, lengths, lengths)
@@ -246,6 +262,22 @@ def test_mul_matches_dense(shape, seed):
 def test_transpose_matches_dense(r, c, seed):
     A = BitMatrix(r, c, tuple(words(seed, c, r)))
     assert A.transpose().data == packed(dense(A).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths, lengths, seeds)
+@example(1, 1, 0)
+@example(1, MAX_LEN, 1)
+@example(MAX_LEN, 1, 2)
+@example(MAX_LEN, MAX_LEN - 1, 3)
+def test_transpose_matches_scatter_loop(r, c, seed):
+    A = BitMatrix(r, c, tuple(words(seed, c, r)))
+    assert A.transpose() == ref_transpose(A)
+
+
+def test_transpose_matches_scatter_loop_at_4096():
+    A = BitMatrix(4096, 4096, tuple(words(4096, 4096, 4096)))
+    assert A.transpose() == ref_transpose(A)
 
 
 # ---------------------------------------------------------------------------

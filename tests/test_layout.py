@@ -1,5 +1,6 @@
 """Module layout: private helpers and set-bit loops live in the _bits module,
-and only the reference layers build the dense Jordan-Wigner matrix."""
+each of its kernels has a caller, and only the reference layers build the
+dense Jordan-Wigner matrix."""
 
 import ast
 import os
@@ -125,6 +126,51 @@ def test_set_bit_loop_guard_finds_the_step(tmp_path):
         "    x &= x - 1\n"
     )
     assert set_bit_loops(probe) == [3, 7]
+
+
+def unused_functions(shared, paths):
+    """Module-level functions of shared that no module of paths names
+    outside an import: a kernel kept only by an import is dead too."""
+    defined = [
+        node.name
+        for node in ast.parse(shared.read_text(), filename=str(shared)).body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in defined if name not in used]
+
+
+def test_every_bits_kernel_has_a_caller():
+    assert unused_functions(SRC / f"{SHARED}.py", sorted(SRC.glob("*.py"))) == []
+
+
+def test_unused_function_guard_finds_dead_kernels(tmp_path):
+    shared = tmp_path / "_bits.py"
+    shared.write_text(
+        "def gather(rows, x, n):\n"
+        "    return top_bit(x)\n"
+        "def top_bit(x):\n"
+        "    return x\n"
+        "def row_parities(rows, x):\n"
+        "    return x\n"
+        "def scatter(rows, x, n, value):\n"
+        "    pass\n"
+    )
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from ._bits import gather, row_parities, scatter\n"
+        "from . import _bits\n"
+        "a = gather([], 0, 1)\n"
+        "f = _bits.row_parities\n"
+    )
+    assert unused_functions(shared, [shared]) == ["gather", "row_parities", "scatter"]
+    assert unused_functions(shared, [shared, probe]) == ["scatter"]
 
 
 # the dense W stays the independent reference of the packed relabeling
