@@ -87,18 +87,13 @@ def row_parities(rows, x: int) -> int:
 
 
 def rank_one(rows: list[int], u: int, h: int, n: int) -> None:
-    """In-place left multiplication by I + h u^T on packed rows.
+    """In-place left multiplication by I + h u^T on packed rows: the row
+    u^T R is XORed into each row selected by h.
 
     The reflection h_a is the pair (a, a); the transvection of h is the
-    pair (eta h, h).  Both loops are inlined: this runs once per group
-    level on the sampling hot path.
+    pair (eta h, h).
     """
-    acc = 0
-    x = u
-    while x:
-        p = (x & -x).bit_length() - 1
-        acc ^= rows[n - 1 - p]
-        x &= x - 1
+    acc = gather(rows, u, n)
     if not acc:
         return
     while h:

@@ -3,11 +3,14 @@
 Exit codes: 0 success, 1 input or usage error, 2 internal failure.
 Randomized subcommands draw no entropy from the environment; --seed
 defaults to DEFAULT_SEED so repeated invocations agree byte for byte.
+main builds its parser once per process, on the first call; argparse
+formats help when it prints, so COLUMNS still applies to each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,6 +45,7 @@ DEFAULT_SEED = 271828
 _GROUPS = {"o": "orthogonal", "sp": "symplectic"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pclifford",

@@ -53,7 +53,8 @@ class BitVec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("BitVec length must be >= 1")
-        if not 0 <= self.bits < (1 << self.n):
+        # bit_length, not 1 << n: a header may declare a length past memory
+        if self.bits < 0 or self.bits.bit_length() > self.n:
             raise ValueError("packed bits exceed the declared length")
 
     @classmethod

@@ -297,15 +297,12 @@ def _random_picks(kind: str, dim: int, seed) -> list[int]:
 # orthogonal builder
 
 
-def _odd_parity_vector(k: int, idx: int) -> int:
-    """idx-th odd-parity vector of length k in lexicographic order."""
-    return (idx << 1) | (1 ^ (idx.bit_count() & 1))
-
-
 def _orthogonal_rows(dim: int, picks: Sequence[int]) -> list[int]:
     rows = [1]
     for k in range(2, dim + 1):
-        f = _odd_parity_vector(k, picks[dim - k])
+        idx = picks[dim - k]
+        # the idx-th odd-parity vector of length k in lexicographic order
+        f = (idx << 1) | (1 ^ (idx.bit_count() & 1))
         a, b = householder_pair(1 << (k - 1), f, k)
         rows = [1 << (k - 1)] + rows
         rank_one(rows, a, a, k)

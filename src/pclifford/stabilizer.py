@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _reduce(bits: int, rows: Sequence[int]) -> int:
+    """XOR each row, in order, into bits whenever bits holds its leading bit."""
+    for row in rows:
+        if (bits >> (row.bit_length() - 1)) & 1:
+            bits ^= row
+    return bits
+
+
 @dataclass(frozen=True)
 class IsotropicSubspace:
     """Even-parity subspace with pairwise vanishing symplectic products.
@@ -86,12 +94,7 @@ class IsotropicSubspace:
         """Lexicographically minimal representative of v + span(basis)."""
         if v.n != 2 * self.n:
             raise ValueError("length mismatch")
-        bits = v.bits
-        for row in self.basis:
-            pivot = 1 << (row.bits.bit_length() - 1)
-            if bits & pivot:
-                bits ^= row.bits
-        return BitVec(v.n, bits)
+        return BitVec(v.n, _reduce(v.bits, [row.bits for row in self.basis]))
 
     def contains(self, v: BitVec) -> bool:
         return self.reduce(v).bits == 0
@@ -224,11 +227,7 @@ def logical_generators(stab: Stabilizer) -> list[BitVec]:
     acc = [b.bits for b in space.basis]
     out = []
     for kv in sol.kernel:
-        bits = kv.bits
-        for row in acc:
-            pivot = 1 << (row.bit_length() - 1)
-            if bits & pivot:
-                bits ^= row
+        bits = _reduce(kv.bits, acc)
         if bits:
             acc.append(bits)
             out.append(BitVec(n2, bits))

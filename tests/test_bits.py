@@ -78,6 +78,23 @@ def ref_apply_transvection_rows(rows, h, dim):
         x &= x - 1
 
 
+def ref_rank_one(rows: list[int], u: int, h: int, n: int) -> None:
+    """rank_one with the gather loop inlined, as it was before it called
+    gather."""
+    acc = 0
+    x = u
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[n - 1 - p]
+        x &= x - 1
+    if not acc:
+        return
+    while h:
+        p = (h & -h).bit_length() - 1
+        rows[n - 1 - p] ^= acc
+        h &= h - 1
+
+
 def ref_cross_lower(v, w):
     """v^T L w for the majorana form, one shift and popcount per set bit."""
     acc = 0
@@ -231,6 +248,41 @@ def test_transvection_matches_loop(n, seed, zero):
     ref_apply_transvection_rows(want, h, n)
     rank_one(got, eta_swap(h, n), h, n)
     assert got == want
+
+
+SELECTORS = ("zero", "one-bit", "two-bit", "random")
+
+
+def selector(rng, n, kind):
+    """A zero, one-bit, two-bit or uniformly random vector of length n."""
+    if kind == "random":
+        return rng.getrandbits(n)
+    weight = {"zero": 0, "one-bit": 1, "two-bit": 2}[kind]
+    return sum(1 << p for p in rng.sample(range(n), min(weight, n)))
+
+
+def check_rank_one(n, seed, u_kind, h_kind):
+    rng = random.Random(seed)
+    want = [rng.getrandbits(n) for _ in range(n)]
+    u, h = selector(rng, n, u_kind), selector(rng, n, h_kind)
+    got = list(want)
+    ref_rank_one(want, u, h, n)
+    rank_one(got, u, h, n)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(lengths, seeds, st.sampled_from(SELECTORS), st.sampled_from(SELECTORS))
+@example(1, 0, "one-bit", "one-bit")
+@example(MAX_LEN, 1, "two-bit", "random")
+def test_rank_one_matches_inlined_loops(n, seed, u_kind, h_kind):
+    """u and h drawn independently, not only the pairs (a, a) and (eta h, h)."""
+    check_rank_one(n, seed, u_kind, h_kind)
+
+
+def test_rank_one_matches_inlined_loops_at_4096():
+    for seed, (u_kind, h_kind) in enumerate(itertools.product(SELECTORS, repeat=2)):
+        check_rank_one(4096, seed, u_kind, h_kind)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,13 @@
 """CLI surface: subcommands, exit codes, output formats."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,52 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    def test_main_builds_no_parser_after_its_first_call(self, capsys, monkeypatch):
+        run(capsys, "order", "--group", "o", "--dim", "4")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "order", "--group", "o", "--dim", "4")[0] == 0
+        assert run(capsys, "sample", "--group", "sp", "--dim", "2")[0] == 0
+        assert built == []  # 9 per call when each call builds its own
+
+    def test_import_builds_no_parser(self):
+        """The parser is built by the first main call, not by an import."""
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from pclifford import cli\n"
+            "assert built == [], built\n"
+            "assert cli.main(['order', '--group', 'o', '--dim', '4']) == 0\n"
+            "assert built\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+    def test_help_wraps_to_the_columns_of_each_call(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run(capsys, "--help")
+            assert code == 0
+            helps.append(out)
+        assert helps[0] == helps[2] != helps[1]
+        description = "Majorana-label Clifford algebra: sampling, encoding, designs."
+        assert description in helps[1] and description not in helps[0]
 
 
 class TestParsing:
@@ -355,10 +406,12 @@ class TestVerify:
 
 class TestExitCodes:
     def test_internal_error_is_2(self, capsys, monkeypatch):
-        def explode(ns):
+        # the shared parser has bound the handlers already, so the fault goes
+        # into the library call that the order handler makes
+        def explode(kind, dim):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli, "_cmd_order", explode)
+        monkeypatch.setattr(cli, "level_bits", explode)
         code, _, err = run(capsys, "order", "--group", "o", "--dim", "4")
         assert code == 2 and "internal error" in err
 

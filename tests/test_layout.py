@@ -173,6 +173,69 @@ def test_unused_function_guard_finds_dead_kernels(tmp_path):
     assert unused_functions(shared, [shared, probe]) == ["scatter"]
 
 
+# handlers and verify suites are called through a fixed signature, so a
+# parameter they do not read is still part of their contract
+FIXED_SIGNATURES = {("_cmd_", "ns"), ("_suite_", "rng")}
+
+
+def unread_parameters(path):
+    """(line, function, parameter) for each parameter that the body of its
+    function never names, fixed signatures aside."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        for a in params:
+            fixed = any(
+                name.startswith(prefix) and a.arg == arg for prefix, arg in FIXED_SIGNATURES
+            )
+            if a.arg not in named and not fixed:
+                found.append((node.lineno, name, a.arg))
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    offenders = {
+        path.name: unread_parameters(path)
+        for path in sorted(SRC.glob("*.py"))
+        if unread_parameters(path)
+    }
+    assert offenders == {}
+
+
+def test_unread_parameter_guard_finds_dead_parameters(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(k, idx):\n"
+        "    return idx << 1\n"
+        "def g(x, *args, flag=False, **kw):\n"
+        "    def inner(y):\n"
+        "        return x\n"
+        "    return inner, args\n"
+        "h = lambda a, b: a\n"
+        "def _cmd_x(ns):\n"
+        "    return 0\n"
+        "def _suite_y(rng):\n"
+        "    return True, ''\n"
+        "def _suite_z(ns, seed):\n"
+        "    return seed\n"
+    )
+    assert unread_parameters(probe) == [
+        (1, "f", "k"),
+        (3, "g", "flag"),
+        (3, "g", "kw"),
+        (4, "inner", "y"),
+        (7, "<lambda>", "b"),
+        (12, "_suite_z", "ns"),
+    ]
+
+
 # the dense W stays the independent reference of the packed relabeling
 JW_REFERENCE_MODULES = {"f2core", "cli", "dense"}
 

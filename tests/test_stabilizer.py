@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from pclifford.f2core import BitVec, make_form, rank_ints, symp_product
+from pclifford.f2core import BitVec, make_form, rank_ints, solve_affine, symp_product
 from pclifford.strings import MajoranaString, compose
 from pclifford.group import decompose_orthogonal, sample_orthogonal_random
 from pclifford.dense import dense_braid, dense_string, stabilizer_projector_dense
@@ -378,3 +378,54 @@ class TestTextFormat:
 def test_parse_rejects_negative_generator_count():
     with pytest.raises(ValueError, match=r"r=-1 must be >= 0"):
         parse_stabilizer("n=2 r=-1\n")
+
+
+# ---------------------------------------------------------------------------
+# the two pivot-reduction loops that the shared one replaced
+
+
+def ref_reduce(space, v):
+    """IsotropicSubspace.reduce with its own loop."""
+    if v.n != 2 * space.n:
+        raise ValueError("length mismatch")
+    bits = v.bits
+    for row in space.basis:
+        pivot = 1 << (row.bits.bit_length() - 1)
+        if bits & pivot:
+            bits ^= row.bits
+    return BitVec(v.n, bits)
+
+
+def ref_logical_generators(stab):
+    """logical_generators with its own loop."""
+    space = stab.space
+    n2 = 2 * space.n
+    sol = solve_affine(space.matrix(), BitVec(space.r, 0))
+    assert sol is not None  # homogeneous systems are always consistent
+    acc = [b.bits for b in space.basis]
+    out = []
+    for kv in sol.kernel:
+        bits = kv.bits
+        for row in acc:
+            pivot = 1 << (row.bit_length() - 1)
+            if bits & pivot:
+                bits ^= row
+        if bits:
+            acc.append(bits)
+            out.append(BitVec(n2, bits))
+    assert len(out) == n2 - 2 * space.r, "centralizer dimension mismatch"
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pivot_reduction_matches_its_loops(n):
+    rng = random.Random(n)
+    n2 = 2 * n
+    for r in range(1, n + 1):
+        for _ in range(4):
+            M = random_isotropic(rng, n, r)
+            for _ in range(8):
+                v = BitVec(n2, rng.getrandbits(n2))
+                assert M.reduce(v) == ref_reduce(M, v)
+            stab = Stabilizer(M, BitVec(n2, rng.getrandbits(n2)))
+            assert logical_generators(stab) == ref_logical_generators(stab)
