@@ -3,12 +3,15 @@
 Each function mirrors a scalar one and equals it element by element,
 for rows of at most 64 bits, which fit a uint64:
 
-- index_picks: the pick lists of a range of group indices, read as
-  mixed-radix numbers the way the index samplers of group read them, in
-  uint64 only: exact mode enumerates at most 10^7 elements;
+- random_picks: the pick lists of count random sampler calls, drawn by
+  the same rng.randrange calls in the same order, as uint64;
 - group_rows_batch: group.group_rows, the pick-list builder of each group;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
-- exponents: design._exponent, the fixed-point exponent of an element.
+- exponents: design._exponent, the fixed-point exponent of an element;
+- exact_histogram: the exponents of every element of a group, counted.
+
+__all__ holds what design calls; the builders and the rank are reached
+through them and tested on their own.
 
 A batch of packed rows is a (rows, B) uint64 array: row i of every
 element is one contiguous vector, the batch counterpart of rows[i], and
@@ -16,6 +19,11 @@ a reduction over the rows runs along the first axis.  Each scalar step
 becomes np.where branches or a masked XOR-reduction over the batch.  No
 row needs a 65th bit: the transvection middles are closed forms, and the
 restricted rank writes its augmented bit into bit 0.
+
+Each builder is one level function, shared by random batches, which
+run every level on one array, and by exact_histogram, which walks the
+group as a tree of shared prefixes.
+
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
 """
@@ -25,19 +33,20 @@ from __future__ import annotations
 import numpy as np
 
 from ._bits import eta_swap
+from .group import level_sizes
 
-__all__ = ["index_picks", "group_rows_batch", "rank_batch", "exponents"]
+__all__ = ["random_picks", "exponents", "exact_histogram"]
+
+# elements per array of the exact tree: larger arrays pay numpy's call
+# overhead less often, smaller ones stay in cache; 2048 measured best
+_CHUNK = 2048
 
 
-def index_picks(sizes: list[int], lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, len(sizes)) pick lists of the indices lo + 1 .. hi: index
-    - 1 as mixed-radix digits, the first entry least significant."""
-    rem = np.arange(lo, hi, dtype=np.uint64)
-    picks = np.empty((len(rem), len(sizes)), np.uint64)
-    for i, s in enumerate(sizes):
-        picks[:, i] = rem % s
-        rem = rem // s
-    return picks
+def random_picks(rng, sizes: list[int], count: int) -> np.ndarray:
+    """(count, len(sizes)) pick lists of count sampler calls: rng.randrange(s)
+    for each s of sizes, one pick list after another."""
+    draws = (rng.randrange(s) for _ in range(count) for s in sizes)
+    return np.fromiter(draws, np.uint64, count * len(sizes)).reshape(count, len(sizes))
 
 
 def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
@@ -75,11 +84,71 @@ def rank_batch(rows: np.ndarray) -> np.ndarray:
 
 
 def exponents(kind: str, dim: int, restricted: bool, picks) -> np.ndarray:
-    """_exponent of the element of each pick list, by its formula: dim
-    less the rank of S + I, or restricted, of its rows with bit 0 set over
-    j with bit 0 clear."""
+    """_exponent of the element of each pick list."""
+    return _exponents(group_rows_batch(kind, dim, picks), dim, restricted)
+
+
+def exact_histogram(kind: str, dim: int, restricted: bool) -> list[int]:
+    """Entry e: the number of elements of the group with exponent e, as
+    Python ints (dim + 1 entries); exact mode shifts them by e (t - 1)."""
+    hist = np.zeros(dim + 1, np.int64)
+    for rows in _every_element(kind, dim):
+        hist += np.bincount(_exponents(rows, dim, restricted), minlength=dim + 1)
+    return hist.tolist()
+
+
+def _every_element(kind: str, dim: int):
+    """Every element of the group once, as (dim, B) batches, B <= _CHUNK.
+
+    A tree of shared prefixes: the states after level k, one per choice
+    of the picks of levels 2..k, are tiled over the picks of level k + 1,
+    so each element costs one level of rank-one updates.  A block of
+    states and picks is split so that no array holds more than _CHUNK
+    elements, and the tree is walked depth first, so at most one array
+    per level is alive.
+    """
+    sizes = level_sizes(kind, dim)
+    if kind == "orthogonal":
+        root = np.ones((1, 1), np.uint64)
+        levels = [
+            (k, _orthogonal_level, [np.arange(sizes[dim - k], dtype=np.uint64)])
+            for k in range(2, dim + 1)
+        ]
+    else:
+        root = np.zeros((0, 1), np.uint64)
+        levels = []
+        for k in range(2, dim + 1, 2):
+            s1, s2 = sizes[dim - k], sizes[dim - k + 1]
+            p1, p2 = np.arange(s1, dtype=np.uint64), np.arange(s2, dtype=np.uint64)
+            levels.append((k, _symplectic_level, [np.repeat(p1, s2), np.tile(p2, s1)]))
+
+    def walk(states: np.ndarray, depth: int):
+        if depth == len(levels):
+            yield states
+            return
+        k, level_fn, picks = levels[depth]
+        size = len(picks[0])
+        m = min(size, _CHUNK)  # picks per block
+        g = max(1, _CHUNK // m)  # states per block
+        for i in range(0, states.shape[1], g):
+            prefix = states[:, i : i + g]
+            for j in range(0, size, m):
+                block = [p[j : j + m] for p in picks]
+                n = len(block[0])
+                level = np.empty((k, prefix.shape[1] * n), np.uint64)
+                level[k - len(prefix) :] = np.repeat(prefix, n, axis=1)
+                level_fn(level, k, *(np.tile(p, prefix.shape[1]) for p in block))
+                yield from walk(level, depth + 1)
+
+    return walk(root, 0)
+
+
+def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
+    """_exponent of each element of a (dim, B) batch of rows, by its
+    formula: dim less the rank of S + I, or restricted, of its rows with
+    bit 0 set over j with bit 0 clear."""
     diag = np.uint64(1) << np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None]
-    kicked = group_rows_batch(kind, dim, picks) ^ diag
+    kicked = rows ^ diag
     if restricted:
         j = np.full((1, kicked.shape[1]), (1 << dim) - 2, np.uint64)
         kicked = np.vstack([kicked | np.uint64(1), j])
@@ -114,21 +183,26 @@ def _orthogonal_rows(dim: int, picks: np.ndarray) -> np.ndarray:
     rows = np.zeros((dim, picks.shape[1]), np.uint64)
     rows[-1] = 1
     for k in range(2, dim + 1):
-        idx = picks[dim - k]
-        f = (idx << 1) | (1 ^ (np.bitwise_count(idx) & 1))
-        # householder_pair(top, f): one reflection when f misses the top
-        # bit, else two through z, the top zero of f (f is never all-ones);
-        # f = top gives a = b, two reflections that cancel
-        top = 1 << (k - 1)
-        z = _top_bits(f ^ ((1 << k) - 1), k)
-        has_top = (f & top) != 0
-        a = np.where(has_top, z | top, f ^ top)
-        b = np.where(has_top, f ^ z, 0)
-        level = rows[dim - k :]
-        level[0] = top
-        _rank_one(level, a, a)
-        _rank_one(level, b, b)
+        _orthogonal_level(rows[dim - k :], k, picks[dim - k])
     return rows
+
+
+def _orthogonal_level(level: np.ndarray, k: int, idx: np.ndarray) -> None:
+    """Level k on a (k, B) batch whose rows 1.. hold level k - 1, in place:
+    row 0 becomes the top bit, and the two reflections of householder_pair
+    send it to the idx-th odd-parity vector f."""
+    f = (idx << 1) | (1 ^ (np.bitwise_count(idx) & 1))
+    # householder_pair(top, f): one reflection when f misses the top
+    # bit, else two through z, the top zero of f (f is never all-ones);
+    # f = top gives a = b, two reflections that cancel
+    top = 1 << (k - 1)
+    z = _top_bits(f ^ ((1 << k) - 1), k)
+    has_top = (f & top) != 0
+    a = np.where(has_top, z | top, f ^ top)
+    b = np.where(has_top, f ^ z, 0)
+    level[0] = top
+    _rank_one(level, a, a)
+    _rank_one(level, b, b)
 
 
 def _symp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -145,25 +219,30 @@ def _route(e: int, x: np.ndarray, w: np.ndarray | int, dim: int) -> list[np.ndar
 def _symplectic_rows(dim: int, picks: np.ndarray) -> np.ndarray:
     rows = np.zeros((dim, picks.shape[1]), np.uint64)
     for k in range(2, dim + 1, 2):
-        c1 = picks[dim - k] + 1
-        y = eta_swap(c1, k)
-        top = _top_bits(y, k)
-        k2 = picks[dim - k + 1]
-        rev = np.zeros_like(k2)
-        for i in range(k - 1):
-            rev |= ((k2 >> i) & 1) << (k - 2 - i)
-        below = top - 1
-        c2 = ((rev & ~below) << 1) | (rev & below)
-        c2 |= np.where(np.bitwise_count(c2 & y) & 1, 0, top)
-        level = rows[dim - k :]
-        level[0] = 1 << (k - 1)
-        level[1] = 1 << (k - 2)
-        # _pair_transvections: route e1 to c1, then e2 to c2 pulled back
-        e1, e2 = 1 << (k - 1), 1 << (k - 2)
-        t_part = _route(e1, c1, e2 | top, k)
-        d = c2
-        for h in reversed(t_part):
-            d = d ^ np.where(_symp(h, d, k), h, 0)
-        for h in _route(e2, d, e1 | e2, k) + t_part:
-            _rank_one(level, eta_swap(h, k), h)
+        _symplectic_level(rows[dim - k :], k, picks[dim - k], picks[dim - k + 1])
     return rows
+
+
+def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray) -> None:
+    """Level k on a (k, B) batch whose rows 2.. hold level k - 2, in place:
+    rows 0 and 1 become e1 and e2, and transvections route them to c1 =
+    p1 + 1 and its p2-th partner c2."""
+    c1 = p1 + 1
+    y = eta_swap(c1, k)
+    top = _top_bits(y, k)
+    rev = np.zeros_like(p2)
+    for i in range(k - 1):
+        rev |= ((p2 >> i) & 1) << (k - 2 - i)
+    below = top - 1
+    c2 = ((rev & ~below) << 1) | (rev & below)
+    c2 |= np.where(np.bitwise_count(c2 & y) & 1, 0, top)
+    level[0] = 1 << (k - 1)
+    level[1] = 1 << (k - 2)
+    # _pair_transvections: route e1 to c1, then e2 to c2 pulled back
+    e1, e2 = 1 << (k - 1), 1 << (k - 2)
+    t_part = _route(e1, c1, e2 | top, k)
+    d = c2
+    for h in reversed(t_part):
+        d = d ^ np.where(_symp(h, d, k), h, 0)
+    for h in _route(e2, d, e1 | e2, k) + t_part:
+        _rank_one(level, eta_swap(h, k), h)

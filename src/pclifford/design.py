@@ -15,18 +15,24 @@ S + I, or restricted, of [S + I | 1] over [j | 0], which is r = rank
 [S + I; j] when c_+ = f_+ = 2^(dim - r) and r + 1 when c_+ = 0.  At
 even dim every row of S + I and j is even, so bit 0 is the parity of
 the other bits and can hold the augmented bit without changing the
-rank: a row of 64 labels stays in 64 bits.  One stream of exponents,
-fed by pick lists of the group module, is the only path from an
-element to a summand: exact mode feeds it every pick list and reduces
-it to a histogram {e: count}; Monte Carlo feeds it random pick lists.
+rank: a row of 64 labels stays in 64 bits.  One exponent formula, in
+_exponent and its batch counterpart, is the only path from an element
+to a summand: exact mode counts the exponents of every element into a
+histogram {e: count} and shifts each count by e (t - 1); Monte Carlo
+sums the exponents of random pick lists as a stream.
 
-Up to 64 labels the stream runs in chunks of at most 1024 pick lists:
-the batch module builds a chunk as uint64 rows and ranks them in numpy.
-A Monte Carlo chunk at 64 labels peaks near 5 MB, half of it the pick
-lists as Python ints.  Exact mode decodes each chunk of indices by mixed radix
-and adds its histogram.  Past 64 labels a row does not fit a uint64, so
-a chunk is one pick list, built by the scalar group_rows and ranked by
-_exponent: the stream holds one element, dim Python ints, at a time.
+Exact mode enumerates at most 10^7 elements, all of at most 7 labels.
+The batch module walks the group as a tree of shared prefixes: the rows
+after level k are built once per choice of the picks of levels 2..k,
+then tiled over the picks of level k + 1, so each element costs one
+level of rank-one updates and one rank.  No array holds more than 2048
+elements, and at most one per level is alive (about 0.8 MB traced at
+O(7) and Sp(6)).  Monte Carlo up to 64 labels runs in chunks of at most
+1024 pick lists, drawn straight into uint64 and built and ranked in
+numpy (a chunk at 64 labels peaks near 3 MB).  Past 64 labels a row does
+not fit a uint64, so each sample is built by the scalar group_rows and
+ranked by _exponent: the stream holds one element, dim Python ints, at
+a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -43,7 +49,6 @@ import json
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -167,8 +172,11 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
-# group orders exact mode enumerates: every index and radix fits a uint64
+# group orders exact mode enumerates: O(7) and Sp(6), 1451520 elements
+# each, are the largest, and their prefix tree takes 0.1-0.3 s
 _EXACT_BUDGET = 10**7
+# Monte Carlo pick lists per batch up to 64 labels, about 1 MB at 64
+_MC_CHUNK = 1024
 
 
 def _exact_refusal(kind: str, dim: int, t: int) -> Optional[str]:
@@ -205,46 +213,38 @@ def _potential(
         raise ValueError("parity restriction needs O(N) with N even")
     from . import batch  # numpy, loaded with the first potential
 
-    # pick lists per chunk: a uint64 batch up to 64 labels, else one at a time
-    chunk = 1024 if dim <= 64 else 1
     if mode == "exact":
         refusal = _exact_refusal(kind, dim, t)
         if refusal:
             raise ValueError(refusal)
-        sizes, order = level_sizes(kind, dim), group_order(kind, dim)
-        # a histogram ignores the order of the pick lists
-        chunks = (
-            batch.index_picks(sizes, lo, min(lo + chunk, order))
-            for lo in range(0, order, chunk)
-        )
-    elif mode == "monte_carlo":
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        # only these can be recorded and passed back to replay the run
-        if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
-            raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
-        seed = random.SystemRandom().getrandbits(53) if seed is None else seed
-        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        sizes = level_sizes(kind, dim)
-        # in sample order; the last chunk draws only the samples that remain
-        chunks = (
-            [[rng.randrange(s) for s in sizes] for _ in range(min(chunk, samples - lo))]
-            for lo in range(0, samples, chunk)
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if dim > 64:  # past the uint64 rows of the batch module
-        exponents = (
-            [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
-            for picks in chunks
-        )
-    else:
-        exponents = (batch.exponents(kind, dim, restricted, picks).tolist() for picks in chunks)
-    stream = itertools.chain.from_iterable(exponents)
-    if mode == "exact":
-        total = sum(count << (e * (t - 1)) for e, count in Counter(stream).items())
+        hist = batch.exact_histogram(kind, dim, restricted)
+        total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
         return FramePotentialReport(
-            kind, dim, t, "exact", restricted, value=Fraction(total, order)
+            kind, dim, t, "exact", restricted, value=Fraction(total, group_order(kind, dim))
+        )
+    if mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    # only these can be recorded and passed back to replay the run
+    if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
+        raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
+    seed = random.SystemRandom().getrandbits(53) if seed is None else seed
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    sizes = level_sizes(kind, dim)
+    if dim > 64:  # past the uint64 rows of the batch module, one at a time
+        stream = (
+            _exponent(group_rows(kind, dim, [rng.randrange(s) for s in sizes]), dim, restricted)
+            for _ in range(samples)
+        )
+    else:
+        # chunks in sample order; the last draws only the samples that remain
+        chunks = (
+            batch.random_picks(rng, sizes, min(_MC_CHUNK, samples - lo))
+            for lo in range(0, samples, _MC_CHUNK)
+        )
+        stream = itertools.chain.from_iterable(
+            batch.exponents(kind, dim, restricted, picks).tolist() for picks in chunks
         )
     acc = 0.0
     acc_sq = 0.0

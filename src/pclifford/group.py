@@ -21,11 +21,12 @@ one entry per level N, N-1, ..., 2 (the odd-parity first column).
 Sp(2n) has two per level 2n, 2n-2, ..., 2: the first column c1, then
 its partner c2.  Random samplers draw rng.randrange(s) for each entry
 in that order, never a big integer; index samplers read index - 1 as a
-mixed-radix number whose least significant digit is the first entry;
-exact enumeration decodes every index the same way, and the group
-order is the product of the sizes.  Reordering the entries changes
-every seeded and indexed output.  The batch module builds whole arrays
-of pick lists at once, each element equal to what group_rows gives.
+mixed-radix number whose least significant digit is the first entry,
+and the group order is the product of the sizes.  Reordering the
+entries changes every seeded and indexed output.  The batch module
+builds whole arrays of pick lists at once, each element equal to what
+group_rows gives, and enumerates every pick list as a tree of shared
+prefixes, bottom level first.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 group_rows_batch must equal group_rows on every pick list, rank_batch
 must equal rank_ints, and the exponents of a chunk must equal _exponent
-element by element.  Dimension 64 is the edge of the uint64 rows; the
-restricted rank writes its augmented bit into bit 0, so no row needs a
-65th bit.
+element by element.  The prefix tree of exact mode must give every
+element of the group once, and its histogram the counts of the scalar
+exponents.  Dimension 64 is the edge of the uint64 rows; the restricted
+rank writes its augmented bit into bit 0, so no row needs a 65th bit.
 """
 
 import itertools
+from collections import Counter
 import os
 import random
 import resource
@@ -20,7 +22,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclifford.batch import exponents, group_rows_batch, index_picks, rank_batch
+from pclifford.batch import (
+    _CHUNK,
+    _every_element,
+    exact_histogram,
+    exponents,
+    group_rows_batch,
+    random_picks,
+    rank_batch,
+)
 from pclifford.design import (
     _exponent,
     _parity_counts,
@@ -155,11 +165,73 @@ def test_restricted_exponent_matches_the_two_rank_counts(dim):
         assert exponents("orthogonal", dim, True, picks).tolist() == want
 
 
-@pytest.mark.parametrize("kind, dim", [("orthogonal", 5), ("symplectic", 4)])
-def test_index_picks_match_the_index_samplers(kind, dim):
-    sizes, order = level_sizes(kind, dim), group_order(kind, dim)
-    got = [p for lo in range(0, order, 100) for p in index_picks(sizes, lo, min(lo + 100, order)).tolist()]
-    assert got == [_index_picks(kind, dim, index) for index in range(1, order + 1)]
+def tree_elements(kind, dim):
+    """Every element the prefix tree gives, one list of packed rows each."""
+    blocks = list(_every_element(kind, dim))
+    assert all(b.shape[0] == dim and 0 < b.shape[1] <= _CHUNK for b in blocks)
+    return [rows for b in blocks for rows in b.T.tolist()]
+
+
+@pytest.mark.parametrize("kind, dim", EVERY)
+def test_prefix_tree_gives_every_element_of_the_index_samplers(kind, dim):
+    indices = range(1, group_order(kind, dim) + 1)
+    want = [group_rows(kind, dim, _index_picks(kind, dim, i)) for i in indices]
+    assert Counter(map(tuple, tree_elements(kind, dim))) == Counter(map(tuple, want))
+
+
+@pytest.mark.parametrize("kind, dim, restricted", with_restriction(EVERY))
+def test_exact_histogram_counts_the_scalar_exponents(kind, dim, restricted):
+    elements = [group_rows(kind, dim, p) for p in every_pick_list(kind, dim)]
+    want = Counter(_exponent(rows, dim, restricted) for rows in elements)
+    hist = exact_histogram(kind, dim, restricted)
+    assert len(hist) == dim + 1 and all(type(count) is int for count in hist)
+    assert {e: count for e, count in enumerate(hist) if count} == want
+
+
+@pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
+def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
+    """O(7) and Sp(6), 1451520 elements each: one key per element, the
+    rows packed side by side, and as many distinct keys as the order."""
+    shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(dim)
+    blocks = _every_element(kind, dim)
+    keys = np.sort(np.concatenate([np.bitwise_or.reduce(b << shifts, axis=0) for b in blocks]))
+    # distinct keys counted on the sorted array: np.unique takes about 1 s here
+    assert len(keys) == group_order(kind, dim)
+    assert np.count_nonzero(keys[1:] != keys[:-1]) + 1 == len(keys)
+
+
+@pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
+def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
+    """At the largest orders the budget admits, the tree holds one array
+    of at most _CHUNK elements per level: about 0.8 MB traced, where the
+    index chunks before it took about 0.4 MB."""
+    tracemalloc.start()
+    try:
+        frame_potential(kind, dim, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_random_picks_are_the_sampler_draws():
+    sizes = level_sizes("symplectic", 8)
+    got = random_picks(random.Random(4), sizes, 50)
+    assert got.dtype == np.uint64 and got.shape == (50, len(sizes))
+    assert got.tolist() == seeded_pick_lists("symplectic", 8, 50, seed=4)
+    assert random_picks(random.Random(4), [], 3).shape == (3, 0)
+
+
+def test_monte_carlo_at_64_labels_draws_uint64_picks():
+    """A chunk of 1024 pick lists of O(64) takes 0.5 MB as uint64 and
+    2.3 MB as Python lists, which made a 4.6 MB peak."""
+    tracemalloc.start()
+    try:
+        frame_potential("orthogonal", 64, 2, mode="monte_carlo", seed=1, samples=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_monte_carlo_above_64_bits_takes_the_scalar_path():

@@ -215,8 +215,8 @@ def test_exact_potentials(kind, dim, restricted):
 
 
 def test_exact_potential_orthogonal_7():
-    # one enumeration of O(7) (1451520 elements) takes about a second in
-    # batches; t = 2 and 3 were read as 4 and 24 by the scalar enumeration
+    # one enumeration of O(7) (1451520 elements) takes about 0.1 s; t = 2
+    # and 3 were read as 4 and 24 by the scalar enumeration
     got = [str(frame_potential("orthogonal", 7, t).value) for t in (2, 3, 4)]
     assert got == ["4", "24", "240"]
 
@@ -264,9 +264,20 @@ def test_witt_count_matches_the_pinned_symplectic_values(n, t):
 
 @pytest.mark.parametrize("t, want", [(3, 6), (4, 30)])
 def test_exact_potential_symplectic_6_matches_witt_count(t, want):
-    # one enumeration of Sp(6) (1451520 elements) takes about 3 s in batches
+    # one enumeration of Sp(6) (1451520 elements) takes about 0.25 s
     assert _witt_count(3, t) == want
     assert frame_potential("symplectic", 6, t).value == want
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_exact_orthogonal_potentials_from_the_witt_count(t):
+    """F2^7 = E + <j> with E the even vectors, on which the dot form is
+    alternating: O(7) fixes j and acts on E as Sp(6), so a tuple is an
+    E-tuple and t - 1 free bits.  O(6) is the stabilizer in O(7) of
+    e_7 + j, so its orbits are the Sp(6) orbits of t-tuples whose first
+    entry is nonzero."""
+    assert frame_potential("orthogonal", 7, t).value == 2 ** (t - 1) * _witt_count(3, t)
+    assert frame_potential("orthogonal", 6, t).value == _witt_count(3, t + 1) - _witt_count(3, t)
 
 
 MC_LARGE = {

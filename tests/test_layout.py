@@ -500,3 +500,39 @@ def test_product_guard_finds_the_names(tmp_path):
         "n = math.prod([2, 3])\n"
     )
     assert itertools_products(probe) == [2, 3]
+
+
+def exported_names(path):
+    """The strings of a module's __all__."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def unreferenced_exports(module, paths):
+    """Names of module's __all__ that no other module of paths mentions."""
+    used = set().union(*(names_used(path) for path in paths if path != module))
+    return [name for name in exported_names(module) if name not in used]
+
+
+def test_every_batch_export_has_a_caller():
+    """A batch kernel that a change of path leaves behind fails here."""
+    batch = SRC / "batch.py"
+    assert exported_names(batch)
+    assert unreferenced_exports(batch, sorted(SRC.glob("*.py"))) == []
+
+
+def test_export_guard_finds_unreferenced_names(tmp_path):
+    module = tmp_path / "batch.py"
+    module.write_text(
+        '__all__ = ["exponents", "index_picks", "rank_batch"]\n'
+        "def index_picks(sizes):\n"
+        "    return rank_batch(sizes)\n"
+    )
+    probe = tmp_path / "design.py"
+    probe.write_text("from . import batch\nx = batch.exponents\n")
+    assert exported_names(module) == ["exponents", "index_picks", "rank_batch"]
+    assert unreferenced_exports(module, [module, probe]) == ["index_picks", "rank_batch"]
