@@ -3,7 +3,8 @@
 Layers, bottom up:
 
 - _bits: private packed-int kernels (pair masks, the eta swap, row
-  gather and parities, the rank-one and right-reflection row updates);
+  gather and parities, the Four-Russians matrix product, the rank-one
+  and right-reflection row updates);
   other modules share helpers only through it.
 - f2core: bit-packed vectors/matrices over F2, ranks, affine solves,
   the form zoo (pair form, triangular form, basis change).

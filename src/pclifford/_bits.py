@@ -3,7 +3,9 @@
 The bit convention is the one of f2core: entry i of a length-n vector
 sits at bit position n - i, so the row of a packed matrix addressed by
 bit position p is rows[n - 1 - p].  Every set-bit loop of the package
-lives here.
+lives here.  A vector times a matrix is a gather of the rows its set
+bits select; a matrix times a matrix is one product, which reads the
+left factor a byte at a time against a table of row XORs.
 
 The Jordan-Wigner matrix W (make_form("jw", n), the dense reference) has
 row i equal to the ones at j >= i less i's pair partner, so W x, x^T W
@@ -12,6 +14,8 @@ work for a vector, one pass over the rows for a matrix.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 
 def pair_mask(n: int) -> int:
@@ -76,6 +80,28 @@ def gather(rows, x: int, n: int) -> int:
         acc ^= rows[n - 1 - p]
         x &= x - 1
     return acc
+
+
+def product(a_rows, b_rows, n: int) -> list[int]:
+    """A B on packed rows, B with n rows: the method of Four Russians
+    (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+
+    The rows of A are rendered once as big-endian bytes, each n bits wide
+    after 8 * nb - n leading zeros.  Byte column c then selects from the
+    8 rows of B below it (the padding rows are zero), so one table of the
+    256 XORs of those rows, built by doubling (a zero row only copies),
+    serves byte c of every row of A.  Only one table is alive at a time.
+    """
+    nb = (n + 7) // 8
+    text = b"".join([r.to_bytes(nb, "big") for r in a_rows])
+    padded = [0] * (8 * nb - n) + list(b_rows)
+    out = [0] * len(a_rows)
+    for c in range(nb):
+        table = [0]
+        for g in reversed(padded[8 * c : 8 * c + 8]):  # byte bit 0 first
+            table += [x ^ g for x in table] if g else table
+        out = list(map(xor, out, map(table.__getitem__, text[c::nb])))
+    return out
 
 
 def row_parities(rows, x: int) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._bits import gather, row_parities, symp_pauli
+from ._bits import product, row_parities, symp_pauli
 
 __all__ = [
     "BitVec",
@@ -112,8 +112,9 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be >= 1")
         if len(self.data) != self.rows:
             raise ValueError("row count does not match data")
+        # bit_length, not 1 << cols: a width may be declared past memory
         for r in self.data:
-            if not 0 <= r < (1 << self.cols):
+            if r < 0 or r.bit_length() > self.cols:
                 raise ValueError("packed row exceeds the declared width")
 
     @classmethod
@@ -155,11 +156,11 @@ class BitMatrix:
         return BitMatrix(cols, self.rows, out)
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":
+        """self @ other by one Four-Russians product (_bits.product)."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        rows, n = other.data, self.cols
-        out = tuple(gather(rows, r, n) for r in self.data)
-        return BitMatrix(self.rows, other.cols, out)
+        out = product(self.data, other.data, self.cols)
+        return BitMatrix(self.rows, other.cols, tuple(out))
 
     def mulvec(self, v: BitVec) -> BitVec:
         if self.cols != v.n:

@@ -41,9 +41,9 @@ from ._bits import (
     eta_swap,
     householder_pair,
     jw_conjugate,
+    product,
     rank_one,
     right_reflect,
-    row_parities,
     symp_pauli,
     top_bit,
 )
@@ -77,12 +77,11 @@ __all__ = [
 
 
 def _preserves_form(rows: Sequence[int], n: int, form) -> bool:
-    """S F S^T = F on the packed rows r_i of S (form(x) = F x), a column at
-    a time: S F r_i against F e_i from entry i down; both are symmetric."""
-    return all(
-        row_parities(rows[i:], form(r)) == form(1 << (n - 1 - i)) & ((1 << (n - i)) - 1)
-        for i, r in enumerate(rows)
-    )
+    """S F S^T = F on the packed rows r_i of S (form(x) = F x) as one
+    product: the rows of S F are F r_i (F is symmetric), so S F S^T is S
+    times their transpose, compared with the rows F e_i of F."""
+    sf_t = BitMatrix(n, n, tuple(map(form, rows))).transpose().data
+    return product(rows, sf_t, n) == [form(1 << (n - 1 - i)) for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pclifford._bits import (
     jw_row,
     pair_mask,
     prefix_parity,
+    product,
     rank_one,
     symp_pauli,
 )
@@ -298,6 +299,43 @@ def test_gather_matches_loop(n, seed):
 
 
 shapes = st.tuples(lengths, lengths, lengths)
+
+
+def ref_product(a_rows, b_rows, n):
+    """A B by one gather per row of A, as BitMatrix.mul was before product."""
+    return [gather(b_rows, r, n) for r in a_rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes, seeds)
+@example((1, 1, 1), 0)  # width 1: seven padding rows in the only byte
+@example((7, 1, MAX_LEN), 1)
+@example((MAX_LEN, 8, 3), 2)  # one whole byte, no padding
+@example((5, 9, 11), 3)  # one bit past a byte
+@example((9, MAX_LEN, MAX_LEN), 4)
+def test_product_matches_gather_loop_and_dense(shape, seed):
+    r, k, c = shape
+    a = words(seed, k, r)
+    b = words(seed + 1, c, k)
+    got = product(a, b, k)
+    assert got == ref_product(a, b, k)
+    A, B = BitMatrix(r, k, tuple(a)), BitMatrix(k, c, tuple(b))
+    assert tuple(got) == packed((dense(A) @ dense(B)) % 2)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65])
+def test_product_of_unit_rows_selects_rows(k):
+    # e_i^T B is row i of B: every bit position of every byte, in order
+    b = words(k, 2 * k + 3, k)
+    assert product([1 << (k - 1 - i) for i in range(k)], b, k) == b
+    assert product([(1 << k) - 1, 0], b, k) == [functools.reduce(operator.xor, b), 0]
+    assert product([], b, k) == []
+
+
+def test_product_matches_gather_loop_at_4096():
+    a = words(4096, 4096, 4096)
+    b = words(4097, 4096, 4096)
+    assert product(a, b, 4096) == ref_product(a, b, 4096)
 
 
 @settings(max_examples=40, deadline=None)

@@ -126,6 +126,16 @@ class TestBitMatrix:
         with pytest.raises(ValueError):
             parse_matrix("11\n101\n")
 
+    def test_row_range_checked_by_bit_length(self):
+        # once OverflowError: the check built 1 << cols
+        assert BitMatrix(1, 2**70, (0,)).data == (0,)
+        assert BitMatrix(1, 2**70, (1 << 69,)).data == (1 << 69,)
+        for row in (-1, 1 << 3):
+            with pytest.raises(ValueError):
+                BitMatrix(1, 3, (row,))
+        with pytest.raises(ValueError):
+            BitMatrix(1, 2**70, (-1,))
+
 
 class TestForms:
     def test_omega_2(self):
