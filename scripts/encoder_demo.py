@@ -1,8 +1,8 @@
 """Synthesize a braid-generator encoder for a random stabilizer subspace.
 
-Samples an isotropic subspace, builds the orthogonal encoder that routes
-the canonical subspace onto it, factors the encoder into reflections, and
-prints the resulting braid word together with the exact checks.
+Samples an isotropic subspace, builds the braid word of reflections that
+routes the canonical subspace onto it, and prints that word together with
+its orthogonal matrix and the exact checks.
 """
 
 import argparse
@@ -10,11 +10,10 @@ import random
 
 from pclifford.f2core import format_matrix
 from pclifford.group import (
-    CliffordWord,
-    decompose_orthogonal,
+    apply_householder,
     format_braid_word,
-    reflection_product,
     sample_orthogonal_random,
+    word_orthogonal,
 )
 from pclifford.stabilizer import (
     add_ancilla,
@@ -38,15 +37,19 @@ def run(n: int, r: int, seed: int) -> None:
         print("span contains the all-ones vector, added an ancilla pair:")
         print(format_matrix(target.matrix()))
 
-    encoder = stab_clifford(target)
-    word = CliffordWord(target.n, tuple(decompose_orthogonal(encoder)))
-    print(f"encoder factors into {len(word.gens)} reflections "
-          f"(bound {2 * 2 * target.n}):")
+    word = stab_clifford(target)
+    encoder = word_orthogonal(word)
+    print(f"encoder applies {len(word.gens)} reflections "
+          f"(bound {2 * target.r}):")
     print(format_braid_word(word))
+    print(format_matrix(encoder.m))
 
-    assert reflection_product(word.gens, 2 * target.n) == encoder.m
-    routed = transform_isotropic(encoder, canonical_isotropic(target.n, target.r))
-    assert routed == target
+    assert len(word.gens) <= 2 * target.r
+    for e, b in zip(canonical_isotropic(target.n, target.r).basis, target.basis):
+        x = e
+        for a in reversed(word.gens):  # the rightmost reflection acts first
+            x = apply_householder(a, x)
+        assert x == b == encoder.m.mulvec(e)
     print("checks: word reproduces the encoder, encoder routes the canonical")
     print("subspace onto the target")
 

@@ -20,9 +20,7 @@ from .f2core import BitVec, format_matrix, make_form
 from .strings import BASES, MajoranaString, compose, format_string, parse_string
 from .group import (
     LABEL_CAP,
-    CliffordWord,
     braid_action,
-    decompose_orthogonal,
     format_braid_word,
     group_order,
     level_bits,
@@ -30,6 +28,7 @@ from .group import (
     sample_orthogonal_random,
     sample_symplectic,
     sample_symplectic_random,
+    word_orthogonal,
 )
 from .stabilizer import (
     add_ancilla,
@@ -187,10 +186,9 @@ def _cmd_compose(ns: argparse.Namespace) -> int:
 
 def _cmd_stab_encode(ns: argparse.Namespace) -> int:
     stab = parse_stabilizer(_read_text(ns.path))
-    S = stab_clifford(stab.space)
-    word = decompose_orthogonal(S)
-    sys.stdout.write(format_matrix(S.m))
-    sys.stdout.write(format_braid_word(CliffordWord(stab.n, tuple(word))))
+    word = stab_clifford(stab.space)
+    sys.stdout.write(format_matrix(word_orthogonal(word).m))
+    sys.stdout.write(format_braid_word(word))
     return 0
 
 
@@ -288,7 +286,7 @@ def _suite_encoder(rng: random.Random):
         r = rng.randint(1, n0)
         S0 = sample_orthogonal_random(2 * n0, rng)
         M = add_ancilla(transform_isotropic(S0, canonical_isotropic(n0, r)))
-        S = stab_clifford(M)
+        S = word_orthogonal(stab_clifford(M))
         std = canonical_isotropic(M.n, M.r)
         for i, b in enumerate(M.basis):
             if S.m.mulvec(std.basis[i]) != b:

@@ -3,8 +3,8 @@
 A stabilizer group is generated by signed Hermitian strings mubar(b_i)
 over an isotropic subspace M of even-parity labels, with a sign
 character (-1)^(v^T m) attached through a coset representative v.  The
-encoder stab_clifford returns an orthogonal matrix routing the
-canonical subspace onto M, column by column.
+encoder stab_clifford returns the braid word of reflections routing the
+canonical subspace onto M, generator by generator.
 
 Subspace bases are canonicalized to reduced row echelon form on
 construction; the RREF order is the definitional generator order for
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._bits import gather, householder_pair, right_reflect, row_parities
+from ._bits import householder_pair, right_reflect, row_parities
 from .f2core import BitMatrix, BitVec, dot, rref_ints, solve_affine
-from .group import LABEL_CAP, OrthogonalMap
+from .group import LABEL_CAP, CliffordWord, OrthogonalMap
 from .strings import MajoranaString, compose
 
 __all__ = [
@@ -164,23 +164,28 @@ def add_ancilla(M: IsotropicSubspace) -> IsotropicSubspace:
     return IsotropicSubspace(M.n + 1, tuple(BitVec(n2, b.bits << 2) for b in M.basis))
 
 
-def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
-    """Orthogonal S mapping the i-th canonical generator to basis[i].
+def stab_clifford(M: IsotropicSubspace) -> CliffordWord:
+    """Braid word whose reflection product S maps the i-th canonical
+    generator to basis[i]; word_orthogonal(word) is S.
 
-    Walks the generators once, routing each image m = S^T b back to the
-    canonical pair with at most two reflections that fix everything
-    already routed; S takes them on the right.  Requires the all-ones
-    vector outside M (add_ancilla delivers that), which also caps r at
-    n - 1 so the working tail is always at least 4 wide.
+    Walks the generators once, pushing each b through the word so far to
+    read m = S^T b, then routes m back to the canonical pair with at most
+    two reflections that fix everything already routed; they extend the
+    word on the right, so it has at most 2r reflections, and a pair that
+    cancels is left out.  Requires the all-ones vector outside M
+    (add_ancilla delivers that), which also caps r at n - 1 so the
+    working tail is always at least 4 wide.
     """
     n2 = 2 * M.n
     if n2 > LABEL_CAP:
         raise ValueError(f"{n2} labels exceed the cap of {LABEL_CAP} labels on the encoder")
     if M.contains_all_ones():
         raise ValueError("all-ones vector lies in the subspace; run add_ancilla first")
-    rows = [1 << (n2 - 1 - i) for i in range(n2)]
+    word: list[int] = []
     for i, b in enumerate(M.basis):
-        m = gather(rows, b.bits, n2)
+        row = [b.bits]
+        right_reflect(row, *word)
+        m = row[0]
         tw = n2 - 2 * i
         mask = (1 << tw) - 1
         m_tail = m & mask
@@ -194,8 +199,9 @@ def stab_clifford(M: IsotropicSubspace) -> OrthogonalMap:
         else:
             a_tail, b_tail = householder_pair(e_tail, m_tail, tw)
         a = (m_lead << tw) | a_tail
-        right_reflect(rows, a, b_tail)
-    return OrthogonalMap(BitMatrix(n2, n2, tuple(rows)))
+        if a != b_tail:
+            word.extend(x for x in (a, b_tail) if x)
+    return CliffordWord(M.n, tuple(BitVec(n2, x) for x in word))
 
 
 def stabilizer_element(stab: Stabilizer, m: BitVec) -> MajoranaString:

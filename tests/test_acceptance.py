@@ -121,7 +121,7 @@ def test_criterion_06_encoder():
         r = rng.randint(1, n0)
         S0 = sample_orthogonal_random(2 * n0, rng)
         M = add_ancilla(transform_isotropic(S0, canonical_isotropic(n0, r)))
-        S = stab_clifford(M)
+        S = word_orthogonal(stab_clifford(M))
         std = canonical_isotropic(M.n, M.r)
         for i, b in enumerate(M.basis):
             if S.m.mulvec(std.basis[i]) != b:

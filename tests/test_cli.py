@@ -208,6 +208,8 @@ class TestStabEncode:
         matrix_text, word_text = out.split("\n\n", 1)
         S = parse_matrix(matrix_text)
         word = parse_braid_word(word_text, n=3)
+        # the encoder's own word: 2 reflections for r = 1
+        assert word_text == "B 100010\nB 101110\n"
         assert reflection_product(word.gens, 6) == S
         assert S.mulvec(BitVec.from_string("110000")) == BitVec.from_string("111100")
 

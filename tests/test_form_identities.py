@@ -41,6 +41,7 @@ from pclifford.group import (
     level_sizes,
     sample_orthogonal_random,
     sample_symplectic_random,
+    word_orthogonal,
 )
 from pclifford.stabilizer import (
     add_ancilla,
@@ -152,6 +153,7 @@ def ref_symplectic_rows(dim, picks):
 def ref_stab_clifford(M):
     n2 = 2 * M.n
     work = [1 << (n2 - 1 - i) for i in range(n2)]
+    pairs = []
     for i, b in enumerate(M.basis):
         m = 0
         for k in range(n2):
@@ -168,7 +170,8 @@ def ref_stab_clifford(M):
         a = (m_lead << tw) | a_tail
         rank_one(work, a, a, n2)
         rank_one(work, b_tail, b_tail, n2)
-    return BitMatrix(n2, n2, tuple(work)).transpose()
+        pairs.append((a, b_tail))
+    return BitMatrix(n2, n2, tuple(work)).transpose(), pairs
 
 
 def ref_decompose_orthogonal(S):
@@ -406,8 +409,13 @@ def test_encoder_matches_transposed_accumulation(n):
         r = rng.randint(1, n)
         scramble = sample_orthogonal_random(2 * n, rng)
         M = add_ancilla(transform_isotropic(scramble, canonical_isotropic(n, r)))
-        S = stab_clifford(M)
-        assert S.m == ref_stab_clifford(M)
+        word = stab_clifford(M)
+        S, pairs = ref_stab_clifford(M)
+        assert word_orthogonal(word).m == S
+        # h_a h_a = I, so a pair with a == b_tail is absent from the word
+        assert [a.bits for a in word.gens] == [
+            x for a, b in pairs if a != b for x in (a, b) if x
+        ]
 
 
 @pytest.mark.parametrize("n2", [4, 6, 8, 12, 20, 64])

@@ -7,7 +7,12 @@ import pytest
 
 from pclifford.f2core import BitVec, make_form, rank_ints, solve_affine, symp_product
 from pclifford.strings import MajoranaString, compose
-from pclifford.group import decompose_orthogonal, sample_orthogonal_random
+from pclifford.group import (
+    apply_householder,
+    decompose_orthogonal,
+    sample_orthogonal_random,
+    word_orthogonal,
+)
 from pclifford.dense import dense_braid, dense_string, stabilizer_projector_dense
 from pclifford.stabilizer import (
     IsotropicSubspace,
@@ -147,17 +152,26 @@ class TestAddAncilla:
             assert grown.r == M.r and grown.n == M.n + 1
 
 
+def assert_routes(word, M):
+    """The word has at most 2r even reflections and its product S sends
+    each canonical generator to the basis vector of the same index."""
+    assert len(word.gens) <= 2 * M.r and word.n == M.n
+    S = word_orthogonal(word)
+    std = canonical_isotropic(M.n, M.r)
+    for e, b in zip(std.basis, M.basis):
+        assert S.m.mulvec(e) == b
+
+
 class TestStabClifford:
     def test_canonical_routes_to_identity(self):
         for n in range(2, 6):
             for r in range(1, n):
-                S = stab_clifford(canonical_isotropic(n, r))
-                std = canonical_isotropic(n, r)
-                for i, b in enumerate(std.basis):
-                    assert S.m.mulvec(std.basis[i]) == b
+                word = stab_clifford(canonical_isotropic(n, r))
+                assert word.gens == ()
+                assert_routes(word, canonical_isotropic(n, r))
 
     def test_refuses_past_the_label_cap(self):
-        # checked before the (2n)^2-bit encoder exists
+        # checked before any reflection is chosen
         with pytest.raises(ValueError, match="4098 labels exceed the cap of 4096 labels"):
             stab_clifford(canonical_isotropic(2049, 1))
 
@@ -171,17 +185,26 @@ class TestStabClifford:
             n0 = rng.randint(1, 12)
             r = rng.randint(1, n0)
             M = add_ancilla(random_isotropic(rng, n0, r))
-            S = stab_clifford(M)
-            std = canonical_isotropic(M.n, M.r)
-            for i, b in enumerate(M.basis):
-                assert S.m.mulvec(std.basis[i]) == b
+            assert_routes(stab_clifford(M), M)
 
     def test_output_is_orthogonal(self):
         # the OrthogonalMap constructor verifies m^T m = I; survival is the test
         rng = random.Random(9)
         for _ in range(20):
             M = add_ancilla(random_isotropic(rng, 4, rng.randint(1, 4)))
-            stab_clifford(M)
+            word_orthogonal(stab_clifford(M))
+
+    def test_routes_at_the_label_cap(self):
+        # canonical pairs mixed by seeded even reflections, at 4096 labels
+        rng = random.Random(13)
+        n, r = 2048, 4
+        basis = canonical_isotropic(n, r).basis
+        for _ in range(8):
+            bits = rng.getrandbits(2 * n)
+            a = BitVec(2 * n, bits ^ (bits.bit_count() & 1))
+            basis = tuple(apply_householder(a, b) for b in basis)
+        M = IsotropicSubspace(n, basis)
+        assert_routes(stab_clifford(M), M)
 
 
 class TestStabilizerElement:
