@@ -62,6 +62,7 @@ from .group import (
     group_rows,
     level_bits,
     level_sizes,
+    levels,
     parse_braid_word,
     reduce_to_elementary,
     reflection_product,

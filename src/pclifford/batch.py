@@ -5,7 +5,7 @@ for rows of at most 64 bits, which fit a uint64:
 
 - random_picks: the pick lists of count random sampler calls, drawn by
   the same rng.randrange calls in the same order, as uint64;
-- group_rows_batch: group.group_rows, the pick-list builder of each group;
+- group_rows_batch: group.group_rows, one loop over group.levels;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
 - exponents: design._exponent, the fixed-point exponent of an element;
 - exact_histogram: the exponents of every element of a group, counted.
@@ -20,9 +20,11 @@ becomes np.where branches or a masked XOR-reduction over the batch.  No
 row needs a 65th bit: the transvection middles are closed forms, and the
 restricted rank writes its augmented bit into bit 0.
 
-Each builder is one level function, shared by random batches, which
+Each group has one level function, shared by random batches, which
 run every level on one array, and by exact_histogram, which walks the
-group as a tree of shared prefixes.
+group as a tree of shared prefixes; both take the levels and the
+entries each reads from group.levels, so nothing here branches on the
+kind of group.
 
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._bits import eta_swap
-from .group import level_sizes
+from .group import level_sizes, levels
 
 __all__ = ["random_picks", "exponents", "exact_histogram"]
 
@@ -52,15 +54,16 @@ def random_picks(rng, sizes: list[int], count: int) -> np.ndarray:
 def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
     """group_rows of every pick list of a (B, len(level_sizes)) array, as
     (dim, B) uint64: entry [i, b] is row i of element b; dim <= 64."""
+    table = levels(kind, dim)
     if dim > 64:
         raise ValueError("batched rows are uint64: dim must be <= 64")
     # entry i of every pick list in one contiguous row, as the rows
     picks = np.ascontiguousarray(np.asarray(picks, dtype=np.uint64).T)
-    if kind == "orthogonal":
-        return _orthogonal_rows(dim, picks)
-    if kind == "symplectic":
-        return _symplectic_rows(dim, picks)
-    raise ValueError(f"unknown group kind {kind!r}")
+    level_fn = _LEVEL[kind]
+    rows = np.repeat(_identity(dim), picks.shape[1], axis=1)
+    for k, entries in table:
+        level_fn(rows[dim - k :], k, *(picks[e] for e in entries))
+    return rows
 
 
 def rank_batch(rows: np.ndarray) -> np.ndarray:
@@ -108,47 +111,41 @@ def _every_element(kind: str, dim: int):
     per level is alive.
     """
     sizes = level_sizes(kind, dim)
-    if kind == "orthogonal":
-        root = np.ones((1, 1), np.uint64)
-        levels = [
-            (k, _orthogonal_level, [np.arange(sizes[dim - k], dtype=np.uint64)])
-            for k in range(2, dim + 1)
-        ]
-    else:
-        root = np.zeros((0, 1), np.uint64)
-        levels = []
-        for k in range(2, dim + 1, 2):
-            s1, s2 = sizes[dim - k], sizes[dim - k + 1]
-            p1, p2 = np.arange(s1, dtype=np.uint64), np.arange(s2, dtype=np.uint64)
-            levels.append((k, _symplectic_level, [np.repeat(p1, s2), np.tile(p2, s1)]))
+    level_fn = _LEVEL[kind]
+    # the picks of each level, its first entry varying slowest
+    tree = [
+        (k, np.indices([sizes[e] for e in entries], np.uint64).reshape(len(entries), -1))
+        for k, entries in levels(kind, dim)
+    ]
 
     def walk(states: np.ndarray, depth: int):
-        if depth == len(levels):
+        if depth == len(tree):
             yield states
             return
-        k, level_fn, picks = levels[depth]
-        size = len(picks[0])
+        k, picks = tree[depth]
+        size = picks.shape[1]
         m = min(size, _CHUNK)  # picks per block
         g = max(1, _CHUNK // m)  # states per block
         for i in range(0, states.shape[1], g):
             prefix = states[:, i : i + g]
             for j in range(0, size, m):
-                block = [p[j : j + m] for p in picks]
-                n = len(block[0])
+                block = picks[:, j : j + m]
+                n = block.shape[1]
                 level = np.empty((k, prefix.shape[1] * n), np.uint64)
+                level[: k - len(prefix)] = _identity(k)[: k - len(prefix)]
                 level[k - len(prefix) :] = np.repeat(prefix, n, axis=1)
-                level_fn(level, k, *(np.tile(p, prefix.shape[1]) for p in block))
+                level_fn(level, k, *np.tile(block, prefix.shape[1]))
                 yield from walk(level, depth + 1)
 
-    return walk(root, 0)
+    # the rows no level builds, the identity
+    return walk(_identity(dim - len(sizes)), 0)
 
 
 def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
     """_exponent of each element of a (dim, B) batch of rows, by its
     formula: dim less the rank of S + I, or restricted, of its rows with
     bit 0 set over j with bit 0 clear."""
-    diag = np.uint64(1) << np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None]
-    kicked = rows ^ diag
+    kicked = rows ^ _identity(dim)
     if restricted:
         j = np.full((1, kicked.shape[1]), (1 << dim) - 2, np.uint64)
         kicked = np.vstack([kicked | np.uint64(1), j])
@@ -157,6 +154,11 @@ def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the builders of group, level by level over the batch
+
+
+def _identity(n: int) -> np.ndarray:
+    """The packed rows of the n x n identity, as an (n, 1) column."""
+    return np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]
 
 
 def _top_bits(x: np.ndarray, n: int) -> np.ndarray:
@@ -179,18 +181,10 @@ def _rank_one(level: np.ndarray, u: np.ndarray, h: np.ndarray) -> None:
     level ^= select & acc
 
 
-def _orthogonal_rows(dim: int, picks: np.ndarray) -> np.ndarray:
-    rows = np.zeros((dim, picks.shape[1]), np.uint64)
-    rows[-1] = 1
-    for k in range(2, dim + 1):
-        _orthogonal_level(rows[dim - k :], k, picks[dim - k])
-    return rows
-
-
 def _orthogonal_level(level: np.ndarray, k: int, idx: np.ndarray) -> None:
-    """Level k on a (k, B) batch whose rows 1.. hold level k - 1, in place:
-    row 0 becomes the top bit, and the two reflections of householder_pair
-    send it to the idx-th odd-parity vector f."""
+    """Level k on a (k, B) batch whose row 0 is the top bit and rows 1..
+    hold level k - 1, in place: the two reflections of householder_pair
+    send the top bit to the idx-th odd-parity vector f."""
     f = (idx << 1) | (1 ^ (np.bitwise_count(idx) & 1))
     # householder_pair(top, f): one reflection when f misses the top
     # bit, else two through z, the top zero of f (f is never all-ones);
@@ -200,7 +194,6 @@ def _orthogonal_level(level: np.ndarray, k: int, idx: np.ndarray) -> None:
     has_top = (f & top) != 0
     a = np.where(has_top, z | top, f ^ top)
     b = np.where(has_top, f ^ z, 0)
-    level[0] = top
     _rank_one(level, a, a)
     _rank_one(level, b, b)
 
@@ -216,16 +209,9 @@ def _route(e: int, x: np.ndarray, w: np.ndarray | int, dim: int) -> list[np.ndar
     return [np.where(direct, e ^ x, e ^ w), np.where(direct, 0, w ^ x)]
 
 
-def _symplectic_rows(dim: int, picks: np.ndarray) -> np.ndarray:
-    rows = np.zeros((dim, picks.shape[1]), np.uint64)
-    for k in range(2, dim + 1, 2):
-        _symplectic_level(rows[dim - k :], k, picks[dim - k], picks[dim - k + 1])
-    return rows
-
-
 def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray) -> None:
-    """Level k on a (k, B) batch whose rows 2.. hold level k - 2, in place:
-    rows 0 and 1 become e1 and e2, and transvections route them to c1 =
+    """Level k on a (k, B) batch whose rows 0 and 1 are e1 and e2 and rows
+    2.. hold level k - 2, in place: transvections route e1 and e2 to c1 =
     p1 + 1 and its p2-th partner c2."""
     c1 = p1 + 1
     y = eta_swap(c1, k)
@@ -236,8 +222,6 @@ def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray)
     below = top - 1
     c2 = ((rev & ~below) << 1) | (rev & below)
     c2 |= np.where(np.bitwise_count(c2 & y) & 1, 0, top)
-    level[0] = 1 << (k - 1)
-    level[1] = 1 << (k - 2)
     # _pair_transvections: route e1 to c1, then e2 to c2 pulled back
     e1, e2 = 1 << (k - 1), 1 << (k - 2)
     t_part = _route(e1, c1, e2 | top, k)
@@ -246,3 +230,7 @@ def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray)
         d = d ^ np.where(_symp(h, d, k), h, 0)
     for h in _route(e2, d, e1 | e2, k) + t_part:
         _rank_one(level, eta_swap(h, k), h)
+
+
+# the level function of each group, for the entries levels gives it
+_LEVEL = {"orthogonal": _orthogonal_level, "symplectic": _symplectic_level}

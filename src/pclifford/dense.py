@@ -148,9 +148,6 @@ def parity_restricted_trace_sq(word) -> float:
     """|tr(P+ U)|**2 for a parity-preserving word."""
     n2 = 2 * word.n
     _check_dim(n2)
-    for a in word.gens:
-        if a.parity:
-            raise ValueError("word contains an odd-parity generator")
     if word.prefix is not None and word.prefix.v.parity:
         raise ValueError("word prefix has odd parity")
     U = dense_word(word)

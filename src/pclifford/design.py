@@ -466,8 +466,8 @@ def quotient_action(S: OrthogonalMap) -> SymplecticMap:
     vector, expressed in the embedded pair basis; a homomorphism onto
     Sp(dim-2) with kernel of size 2^(dim-1)."""
     n2 = S.dim
-    if n2 < 4:
-        raise ValueError("quotient action needs at least two mode pairs")
+    if n2 < 4 or n2 % 2:
+        raise ValueError("quotient action needs an even dimension of at least two mode pairs")
     rows = _embedding_rows(n2)
     # row k of (eta B) S B^T: row k ^ 1 of B through S, read against B
     out = (row_parities(rows, gather(S.m.data, rows[k ^ 1], n2)) for k in range(n2 - 2))

@@ -19,10 +19,13 @@ picks holds one number per entry s of level_sizes(kind, dim), with
 0 <= pick < s, and the entries run from the top level down.  O(N) has
 one entry per level N, N-1, ..., 2 (the odd-parity first column).
 Sp(2n) has two per level 2n, 2n-2, ..., 2: the first column c1, then
-its partner c2.  Random samplers draw rng.randrange(s) for each entry
-in that order, never a big integer; index samplers read index - 1 as a
-mixed-radix number whose least significant digit is the first entry,
-and the group order is the product of the sizes.  Reordering the
+its partner c2.  levels(kind, dim) is the one map from a level to the
+entries it reads; group_rows and the batch builders each loop over it
+and hand the entries to one level function per group.  Random samplers
+draw rng.randrange(s) for each entry in that order, never a big
+integer; index samplers read index - 1 as a mixed-radix number whose
+least significant digit is the first entry, and the group order is
+the product of the sizes.  Reordering the
 entries changes every seeded and indexed output.  The batch module
 builds whole arrays of pick lists at once, each element equal to what
 group_rows gives, and enumerates every pick list as a tree of shared
@@ -65,6 +68,7 @@ __all__ = [
     "group_order",
     "level_sizes",
     "level_bits",
+    "levels",
     "LABEL_CAP",
     "group_rows",
     "decompose_orthogonal",
@@ -144,7 +148,6 @@ class CliffordWord:
     n: int
     gens: tuple[BitVec, ...] = field(default_factory=tuple)
     prefix: Optional[MajoranaString] = None
-    allow_odd: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -152,7 +155,7 @@ class CliffordWord:
         for a in self.gens:
             if a.n != 2 * self.n:
                 raise ValueError("generator length does not match the word")
-            if a.parity and not self.allow_odd:
+            if a.parity:
                 raise ValueError("odd-parity generator in a parity-preserving word")
         if self.prefix is not None and self.prefix.v.n != 2 * self.n:
             raise ValueError("prefix length does not match the word")
@@ -265,14 +268,27 @@ def group_order(kind: str, dim: int) -> int:
     return math.prod(level_sizes(kind, dim))
 
 
+def levels(kind: str, dim: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each level bottom up, as its size k and the pick-list entries it
+    reads: (dim - k,) for O(N), the first column; (dim - k, dim - k + 1)
+    for Sp(2n), c1 then its partner c2.  The dim - len(level_sizes) rows
+    no level builds start as the identity: one for O(N), none for Sp."""
+    _check_group(kind, dim)
+    if kind == "orthogonal":
+        return [(k, (dim - k,)) for k in range(2, dim + 1)]
+    return [(k, (dim - k, dim - k + 1)) for k in range(2, dim + 1, 2)]
+
+
 def group_rows(kind: str, dim: int, picks: Sequence[int]) -> list[int]:
     """Packed rows of the element named by a pick list (pauli basis for
-    Sp); picks are trusted to lie in range."""
-    if kind == "orthogonal":
-        return _orthogonal_rows(dim, picks)
-    if kind == "symplectic":
-        return _symplectic_rows(dim, picks)
-    raise ValueError(f"unknown group kind {kind!r}")
+    Sp); picks are trusted to lie in range.  The rows start as the
+    identity, and level k acts on the bottom k of them."""
+    table = levels(kind, dim)
+    level_fn = _LEVEL[kind]
+    rows = [1 << (dim - 1 - i) for i in range(dim)]
+    for k, entries in table:
+        level_fn(rows, k, *(picks[e] for e in entries))
+    return rows
 
 
 def _index_picks(kind: str, dim: int, index: int) -> list[int]:
@@ -297,28 +313,25 @@ def _random_picks(kind: str, dim: int, seed) -> list[int]:
 # orthogonal builder
 
 
-def _orthogonal_rows(dim: int, picks: Sequence[int]) -> list[int]:
-    rows = [1]
-    for k in range(2, dim + 1):
-        idx = picks[dim - k]
-        # the idx-th odd-parity vector of length k in lexicographic order
-        f = (idx << 1) | (1 ^ (idx.bit_count() & 1))
-        a, b = householder_pair(1 << (k - 1), f, k)
-        rows = [1 << (k - 1)] + rows
-        rank_one(rows, a, a, k)
-        rank_one(rows, b, b, k)
-    return rows
+def _orthogonal_level(rows: list[int], k: int, idx: int) -> None:
+    """Level k, in place on the bottom k rows: the two reflections of
+    householder_pair send the top bit to the idx-th odd-parity vector of
+    length k in lexicographic order."""
+    f = (idx << 1) | (1 ^ (idx.bit_count() & 1))
+    a, b = householder_pair(1 << (k - 1), f, k)
+    rank_one(rows, a, a, len(rows))
+    rank_one(rows, b, b, len(rows))
 
 
 def sample_orthogonal(dim: int, index: int) -> OrthogonalMap:
     """Bijection from 1..|O(dim)| onto the orthogonal group."""
-    rows = _orthogonal_rows(dim, _index_picks("orthogonal", dim, index))
+    rows = group_rows("orthogonal", dim, _index_picks("orthogonal", dim, index))
     return OrthogonalMap(BitMatrix(dim, dim, tuple(rows)))
 
 
 def sample_orthogonal_random(dim: int, seed=None) -> OrthogonalMap:
     """Uniform over O(dim): one level index drawn per recursion level."""
-    rows = _orthogonal_rows(dim, _random_picks("orthogonal", dim, seed))
+    rows = group_rows("orthogonal", dim, _random_picks("orthogonal", dim, seed))
     return OrthogonalMap(BitMatrix(dim, dim, tuple(rows)))
 
 
@@ -349,23 +362,23 @@ def _pair_transvections(c1: int, c2: int, dim: int) -> list[int]:
     return _route(e2, d, e1 | e2, dim) + t_part
 
 
-def _symplectic_rows(dim: int, picks: Sequence[int]) -> list[int]:
-    """Levels are built bottom up; level k reads picks[dim - k] for c1
-    and picks[dim - k + 1] for its partner c2."""
-    rows: list[int] = []
-    for k in range(2, dim + 1, 2):
-        c1 = picks[dim - k] + 1
-        # partners solve y^T c2 = 1, y = eta c1: bit t of k2 sets the t-th
-        # free position from the left, and the top bit p of y fixes parity
-        y = eta_swap(c1, k)
-        p = y.bit_length() - 1
-        rev = int(format(picks[dim - k + 1], f"0{k - 1}b")[::-1], 2)
-        c2 = ((rev >> p) << (p + 1)) | (rev & ((1 << p) - 1))
-        c2 |= (1 ^ (c2 & y).bit_count() & 1) << p
-        rows = [1 << (k - 1), 1 << (k - 2)] + rows
-        for h in _pair_transvections(c1, c2, k):
-            rank_one(rows, eta_swap(h, k), h, k)
-    return rows
+def _symplectic_level(rows: list[int], k: int, p1: int, p2: int) -> None:
+    """Level k, in place on the bottom k rows: transvections route the top
+    pair (e1, e2) to c1 = p1 + 1 and its p2-th partner c2."""
+    c1 = p1 + 1
+    # partners solve y^T c2 = 1, y = eta c1: bit t of p2 sets the t-th
+    # free position from the left, and the top bit p of y fixes parity
+    y = eta_swap(c1, k)
+    p = y.bit_length() - 1
+    rev = int(format(p2, f"0{k - 1}b")[::-1], 2)
+    c2 = ((rev >> p) << (p + 1)) | (rev & ((1 << p) - 1))
+    c2 |= (1 ^ (c2 & y).bit_count() & 1) << p
+    for h in _pair_transvections(c1, c2, k):
+        rank_one(rows, eta_swap(h, k), h, len(rows))
+
+
+# the level function of each group, for the entries levels gives it
+_LEVEL = {"orthogonal": _orthogonal_level, "symplectic": _symplectic_level}
 
 
 def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
@@ -377,13 +390,13 @@ def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
 
 def sample_symplectic(dim: int, index: int, basis: str = "pauli") -> SymplecticMap:
     """Bijection from 1..|Sp(dim)| onto the symplectic group."""
-    rows = _symplectic_rows(dim, _index_picks("symplectic", dim, index))
+    rows = group_rows("symplectic", dim, _index_picks("symplectic", dim, index))
     return _symplectic_map(rows, dim, basis)
 
 
 def sample_symplectic_random(dim: int, seed=None, basis: str = "pauli") -> SymplecticMap:
     """Uniform over Sp(dim); per-level draws, deterministic given seed."""
-    rows = _symplectic_rows(dim, _random_picks("symplectic", dim, seed))
+    rows = group_rows("symplectic", dim, _random_picks("symplectic", dim, seed))
     return _symplectic_map(rows, dim, basis)
 
 
@@ -429,9 +442,6 @@ def word_orthogonal(word: CliffordWord) -> OrthogonalMap:
     The prefix string conjugates every label to itself, so it does not
     appear here.
     """
-    for a in word.gens:
-        if a.parity:
-            raise ValueError("word contains an odd-parity generator")
     return OrthogonalMap(reflection_product(word.gens, 2 * word.n))
 
 

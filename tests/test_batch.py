@@ -46,6 +46,7 @@ from pclifford.group import (
     group_rows,
     level_bits,
     level_sizes,
+    levels,
     sample_orthogonal_random,
 )
 
@@ -285,6 +286,38 @@ def test_level_bits_validates_like_level_sizes():
             level_sizes(kind, dim)
         with pytest.raises(ValueError, match=str(want.value)):
             level_bits(kind, dim)
+
+
+# ---------------------------------------------------------------------------
+# levels: the one map from a level to the pick-list entries it reads
+
+LEVEL_CASES = [
+    (kind, dim)
+    for dim in [*range(1, 65), LABEL_CAP]
+    for kind in ("orthogonal", "symplectic")
+    if kind == "orthogonal" or dim % 2 == 0
+]
+
+
+@pytest.mark.parametrize("kind, dim", LEVEL_CASES)
+def test_levels_read_every_entry_once_bottom_up(kind, dim):
+    table = levels(kind, dim)
+    n_sizes = len(level_sizes(kind, dim))
+    assert sorted(e for _, entries in table for e in entries) == list(range(n_sizes))
+    step = 1 if kind == "orthogonal" else 2
+    assert [k for k, _ in table] == list(range(2, dim + 1, step))
+    # the rows no level builds: the identity row of O(1), none for Sp
+    assert dim - n_sizes == (1 if kind == "orthogonal" else 0)
+
+
+def test_levels_validate_like_the_builders():
+    for kind, dim in (("unitary", 4), ("symplectic", 3), ("symplectic", 7)):
+        with pytest.raises(ValueError) as want:
+            levels(kind, dim)
+        with pytest.raises(ValueError, match=str(want.value)):
+            group_rows(kind, dim, [0] * dim)
+        with pytest.raises(ValueError, match=str(want.value)):
+            group_rows_batch(kind, dim, [[0] * dim])
 
 
 # the refusal runs in a child process, with its address space capped, so a

@@ -296,8 +296,9 @@ class TestParityRestrictedTrace:
             assert min(abs(val - 0.0), abs(val - 4.0)) < 1e-9
 
     def test_rejects_odd_generators(self):
-        with pytest.raises(ValueError):
-            parity_restricted_trace_sq(CliffordWord(1, (bv("10"),), allow_odd=True))
+        # an odd generator never reaches the trace: the word rejects it
+        with pytest.raises(ValueError, match="odd-parity generator"):
+            parity_restricted_trace_sq(CliffordWord(1, (bv("10"),)))
         with pytest.raises(ValueError):
             parity_restricted_trace_sq(CliffordWord(1, (), mu("10")))
 

@@ -451,6 +451,11 @@ class TestQuotientAction:
         with pytest.raises(ValueError):
             quotient_action(OrthogonalMap(BitMatrix.identity(2)))
 
+    @pytest.mark.parametrize("dim", [5, 7])
+    def test_needs_even_dimension(self, dim):
+        with pytest.raises(ValueError, match="even dimension"):
+            quotient_action(sample_orthogonal_random(dim, seed=dim))
+
 
 class TestMonteCarloSeed:
     def test_default_run_reports_its_seed_and_reproduces(self):

@@ -81,7 +81,6 @@ class TestMapTypes:
     def test_word_validates_generators(self):
         with pytest.raises(ValueError):
             CliffordWord(1, (bv("10"),))
-        CliffordWord(1, (bv("10"),), allow_odd=True)
         with pytest.raises(ValueError):
             CliffordWord(2, (bv("11"),))
         with pytest.raises(ValueError):

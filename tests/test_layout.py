@@ -536,3 +536,36 @@ def test_export_guard_finds_unreferenced_names(tmp_path):
     probe.write_text("from . import batch\nx = batch.exponents\n")
     assert exported_names(module) == ["exponents", "index_picks", "rank_batch"]
     assert unreferenced_exports(module, [module, probe]) == ["index_picks", "rank_batch"]
+
+
+def kind_comparisons(path):
+    """Line numbers of each comparison with the name `kind` as an operand."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Name) and operand.id == "kind"
+            for operand in [node.left, *node.comparators]
+        )
+    )
+
+
+def test_batch_makes_no_per_kind_choice():
+    """group.levels maps each level to its pick entries and one table
+    names each group's level function, so batch never branches on kind."""
+    assert kind_comparisons(SRC / "batch.py") == []
+
+
+def test_kind_guard_finds_the_comparisons(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(kind, dim):\n"
+        "    if kind == 'orthogonal':\n"
+        "        return 1\n"
+        "    x = 'symplectic' != kind\n"
+        "    y = kind in ('a', 'b')\n"
+        "    z = _LEVEL[kind]\n"
+        "    return dim == 2\n"
+    )
+    assert kind_comparisons(probe) == [2, 4, 5]
