@@ -175,7 +175,7 @@ _EXACT_BITS = 1 << 13
 # group orders exact mode enumerates: O(7) and Sp(6), 1451520 elements
 # each, are the largest, and their prefix tree takes 0.1-0.3 s
 _EXACT_BUDGET = 10**7
-# Monte Carlo pick lists per batch up to 64 labels, about 1 MB at 64
+# Monte Carlo pick lists per batch up to 64 labels, near 3 MB at 64
 _MC_CHUNK = 1024
 
 
@@ -381,8 +381,7 @@ def orbit_decomposition(
     tuple order of at most 16.  With at most 3 dim / 2 generators that
     is about 2^21 steps of the search.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    level_bits(group, dim)  # validates group and dim
     if tuple_order < 1:
         raise ValueError("tuple order must be >= 1")
     if space not in ("full", "even_quotient"):
@@ -395,13 +394,8 @@ def orbit_decomposition(
             f"{tuple_order}-tuples of 2^{bits} points exceed the tuple cap "
             f"(at most 2^{_TUPLE_BITS} tuples and tuple order {_TUPLE_BITS})"
         )
-    if group == "symplectic":
-        if dim % 2:
-            raise ValueError("symplectic groups need even dimension")
-        if space == "even_quotient":
-            raise ValueError("the symplectic group does not act on the even quotient")
-    elif group != "orthogonal":
-        raise ValueError(f"unknown group {group!r}")
+    if group == "symplectic" and space == "even_quotient":
+        raise ValueError("the symplectic group does not act on the even quotient")
     j = (1 << dim) - 1
     # the even quotient: one point per pair {v, v + j} of even labels
     points = [

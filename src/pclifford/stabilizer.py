@@ -74,11 +74,11 @@ class IsotropicSubspace:
             if clash:
                 c = self.basis[len(bits) - clash.bit_length()]
                 raise ValueError(f"generators {self.basis[i]} and {c} do not commute")
-        work, pivots = rref_ints(bits)
-        if any(p == 0 for p in pivots) or len(work) != len(self.basis):
+        # commuting even rows span W inside W-perp (b.b = parity b = 0), so
+        # r <= n; a pivot at bit 0 would be a reduced row of weight 1, odd
+        work, _ = rref_ints(bits)
+        if len(work) != len(self.basis):
             raise ValueError("generators are linearly dependent")
-        if len(work) > self.n:
-            raise ValueError("isotropic dimension exceeds the mode count")
         object.__setattr__(
             self, "basis", tuple(BitVec(n2, bits) for bits in work)
         )
@@ -291,11 +291,7 @@ def parse_stabilizer(text: str) -> Stabilizer:
             sign = BitVec.from_string(ln[len("sign=") :])
         else:
             raise ValueError(f"unrecognized stabilizer line {ln!r}")
-    for row in rows:
-        if row.n != 2 * n:
-            raise ValueError("generator length does not match the header")
-    space = IsotropicSubspace(n, tuple(rows))
-    return Stabilizer(space, sign)
+    return Stabilizer(IsotropicSubspace(n, tuple(rows)), sign)
 
 
 def format_stabilizer(stab: Stabilizer) -> str:

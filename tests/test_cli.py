@@ -14,7 +14,7 @@ import pytest
 from pclifford import cli
 from pclifford.cli import DEFAULT_SEED, main
 from pclifford.f2core import BitVec, format_matrix, make_form, parse_matrix
-from pclifford.group import parse_braid_word, reflection_product
+from pclifford.group import group_order, level_bits, parse_braid_word, reflection_product
 
 
 def run(capsys, *argv):
@@ -158,6 +158,27 @@ class TestSample:
             code, _, err = run(capsys, "sample", "--group", "sp", "--dim", "4", "--index", index)
             assert code == 1 and f"index {index} out of range 1..720" in err
 
+    @pytest.mark.parametrize("group, dim", [("o", 200), ("sp", 200), ("o", 4096)])
+    def test_bad_index_past_the_digit_limit_names_the_order_size(self, capsys, group, dim):
+        # these orders run past the 4300 digits Python prints
+        low = level_bits(cli._GROUPS[group], dim)
+        code, out, err = run(capsys, "sample", "--group", group, "--dim", str(dim), "--index", "0")
+        assert code == 1 and out == ""
+        assert f"index 0 out of range 1..N, a group order N of at least 2^{low}" in err
+
+    @pytest.mark.parametrize(
+        "group, dim, exact",
+        [("o", 12, True), ("o", 13, False), ("sp", 10, True), ("sp", 12, False)],
+    )
+    def test_bad_index_prints_the_order_below_2_to_the_64(self, capsys, group, dim, exact):
+        kind = cli._GROUPS[group]
+        code, _, err = run(capsys, "sample", "--group", group, "--dim", str(dim), "--index", "0")
+        assert code == 1
+        if exact:
+            assert f"out of range 1..{group_order(kind, dim)}\n" in err
+        else:
+            assert f"at least 2^{level_bits(kind, dim)}\n" in err
+
 
 class TestJw:
     def test_matches_library(self, capsys):
@@ -222,6 +243,18 @@ class TestStabEncode:
         monkeypatch.setattr("sys.stdin", io.StringIO("n=2 r=1\n1000\n"))
         code, _, _ = run(capsys, "stab-encode")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3 r=1\n1100\n", "generator length does not match the mode count"),
+            ("n=2 r=1\n1100\nsign=110\n", "sign vector length does not match the subspace"),
+        ],
+    )
+    def test_rows_of_the_wrong_length(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "stab-encode")
+        assert code == 1 and out == "" and message in err
 
     @pytest.mark.parametrize(
         "head, message",

@@ -361,6 +361,18 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbit_decomposition(5, 1, "orthogonal", "even_quotient")
 
+    @pytest.mark.parametrize(
+        "dim, group, message",
+        [
+            (4, "dihedral", "unknown group kind 'dihedral'"),
+            (3, "symplectic", "symplectic groups need even dimension"),
+            (0, "dihedral", "dimension must be >= 1"),
+        ],
+    )
+    def test_group_arguments_get_the_group_messages(self, dim, group, message):
+        with pytest.raises(ValueError, match=message):
+            orbit_decomposition(dim, 1, group)
+
     @pytest.mark.parametrize("dim", [0, -3])
     def test_dimension_must_be_positive(self, dim):
         with pytest.raises(ValueError, match="dimension must be >= 1"):

@@ -569,3 +569,51 @@ def test_kind_guard_finds_the_comparisons(tmp_path):
         "    return dim == 2\n"
     )
     assert kind_comparisons(probe) == [2, 4, 5]
+
+
+def string_constants(node):
+    """(line, text) of each string constant under a node, f-string pieces
+    included."""
+    return [
+        (sub.lineno, sub.value)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    ]
+
+
+def group_check_copies(path):
+    """(line, text) of each string constant in a module that is one of the
+    messages of group._check_group."""
+    tree = ast.parse((SRC / "group.py").read_text())
+    check = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_group"
+    )
+    messages = {text for _, text in string_constants(check)} - {"orthogonal", "symplectic"}
+    found = string_constants(ast.parse(path.read_text(), filename=str(path)))
+    return [(line, text) for line, text in found if text in messages]
+
+
+def test_design_leaves_group_arguments_to_group():
+    """orbit_decomposition and the potentials validate group and dimension
+    through level_bits, so none of group's messages has a copy in design."""
+    assert group_check_copies(SRC / "design.py") == []
+
+
+def test_group_check_guard_finds_the_copies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(group, dim):\n"
+        "    if dim < 1:\n"
+        "        raise ValueError('dimension must be >= 1')\n"
+        "    if group == 'symplectic' and dim % 2:\n"
+        "        raise ValueError('symplectic groups need even dimension')\n"
+        "    if group != 'orthogonal':\n"
+        "        raise ValueError(f'unknown group kind {group!r}')\n"
+        "    raise ValueError('tuple order must be >= 1')\n"
+    )
+    assert group_check_copies(probe) == [
+        (3, "dimension must be >= 1"),
+        (5, "symplectic groups need even dimension"),
+        (7, "unknown group kind "),
+    ]

@@ -1,9 +1,11 @@
 """Isotropic subspaces, encoders, stabilizer elements, logical operators."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclifford.f2core import BitVec, make_form, rank_ints, solve_affine, symp_product
 from pclifford.strings import MajoranaString, compose
@@ -130,6 +132,16 @@ class TestIsotropicSubspace:
                 IsotropicSubspace(n, tuple(rows))
             assert str(err.value) == f"generators {first[0]} and {first[1]} do not commute"
         assert clashes > 50
+
+    def test_rejects_rows_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="generator length does not match the mode count"):
+            IsotropicSubspace(3, (bv("1100"),))
+        with pytest.raises(ValueError, match="even length"):
+            validate_isotropic([bv("110")])
+
+    def test_reduce_rejects_the_wrong_length(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            canonical_isotropic(2, 1).reduce(bv("110000"))
 
     def test_contains_all_ones(self):
         assert canonical_isotropic(2, 2).contains_all_ones()
@@ -401,6 +413,63 @@ class TestTextFormat:
 def test_parse_rejects_negative_generator_count():
     with pytest.raises(ValueError, match=r"r=-1 must be >= 0"):
         parse_stabilizer("n=2 r=-1\n")
+
+
+# ---------------------------------------------------------------------------
+# the isotropy gate: commuting independent even rows are accepted, and
+# then r <= n with no pivot at bit 0, so neither needs a check of its own
+
+
+def check_isotropy_gate(n, rows):
+    """IsotropicSubspace accepts rows exactly when they commute pairwise
+    and are independent, and what it accepts has r <= n and every pivot
+    above bit 0."""
+    assert all(b.n == 2 * n and b.parity == 0 for b in rows)
+    commute = all((a.bits & b.bits).bit_count() % 2 == 0 for a in rows for b in rows)
+    independent = rank_ints(b.bits for b in rows) == len(rows)
+    if not (commute and independent):
+        with pytest.raises(ValueError, match="do not commute|linearly dependent"):
+            IsotropicSubspace(n, tuple(rows))
+        return
+    M = IsotropicSubspace(n, tuple(rows))
+    assert M.r == len(rows) <= n
+    assert all(b.bits.bit_length() > 1 for b in M.basis)  # leading bit is the pivot
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_isotropy_gate_on_every_set_of_even_rows(n):
+    evens = [BitVec(2 * n, x) for x in range(1 << (2 * n)) if x.bit_count() % 2 == 0]
+    for k in range(len(evens) + 1):
+        for rows in itertools.combinations(evens, k):
+            check_isotropy_gate(n, rows)
+
+
+@st.composite
+def even_row_sets(draw):
+    """n <= 6 and up to n + 2 even rows: uniform ones, which seldom
+    commute, or combinations of a maximal isotropic basis, which always
+    do and can be dependent or overfull."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=n + 2))
+        return n, [BitVec(2 * n, x ^ (x.bit_count() & 1)) for x in xs]
+    S = sample_orthogonal_random(2 * n, draw(st.integers(0, 2**32)))
+    basis = transform_isotropic(S, canonical_isotropic(n, n)).basis
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    rows = []
+    for mask in masks:
+        bits = 0
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                bits ^= b.bits
+        rows.append(BitVec(2 * n, bits))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_row_sets())
+def test_isotropy_gate_on_random_even_rows(case):
+    check_isotropy_gate(*case)
 
 
 # ---------------------------------------------------------------------------
