@@ -8,7 +8,9 @@ for rows of at most 64 bits, which fit a uint64:
 - group_rows_batch: group.group_rows, one loop over group.levels;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
 - exponents: design._exponent, the fixed-point exponent of an element;
-- exact_histogram: the exponents of every element of a group, counted.
+- exact_histogram: the exponents of every element of a group, counted;
+  memoized for the life of the process, and returned as a tuple, so no
+  caller can change a cached count.
 
 __all__ holds what design calls; the builders and the rank are reached
 through them and tested on their own.
@@ -31,6 +33,8 @@ package neither compiles it nor loads numpy.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,13 +95,18 @@ def exponents(kind: str, dim: int, restricted: bool, picks) -> np.ndarray:
     return _exponents(group_rows_batch(kind, dim, picks), dim, restricted)
 
 
-def exact_histogram(kind: str, dim: int, restricted: bool) -> list[int]:
+@lru_cache(maxsize=None)
+def exact_histogram(kind: str, dim: int, restricted: bool) -> tuple[int, ...]:
     """Entry e: the number of elements of the group with exponent e, as
-    Python ints (dim + 1 entries); exact mode shifts them by e (t - 1)."""
+    Python ints (dim + 1 entries); exact mode shifts them by e (t - 1).
+
+    The histogram does not depend on t, so each (kind, dim, restricted)
+    is enumerated once per process.  The cache is bounded by the groups
+    design's exact-mode budget admits, 13 keys of at most 8 ints."""
     hist = np.zeros(dim + 1, np.int64)
     for rows in _every_element(kind, dim):
         hist += np.bincount(_exponents(rows, dim, restricted), minlength=dim + 1)
-    return hist.tolist()
+    return tuple(hist.tolist())
 
 
 def _every_element(kind: str, dim: int):

@@ -27,12 +27,17 @@ after level k are built once per choice of the picks of levels 2..k,
 then tiled over the picks of level k + 1, so each element costs one
 level of rank-one updates and one rank.  No array holds more than 2048
 elements, and at most one per level is alive (about 0.8 MB traced at
-O(7) and Sp(6)).  Monte Carlo up to 64 labels runs in chunks of at most
-1024 pick lists, drawn straight into uint64 and built and ranked in
-numpy (a chunk at 64 labels peaks near 3 MB).  Past 64 labels a row does
-not fit a uint64, so each sample is built by the scalar group_rows and
-ranked by _exponent: the stream holds one element, dim Python ints, at
-a time.
+O(7) and Sp(6)).  The histogram does not depend on t, so it is
+enumerated once per (group, dim, restricted) per process and kept: the
+budget admits 13 such keys, O(1..7), restricted O(2), O(4) and O(6), and
+Sp(2), Sp(4) and Sp(6), so the cache holds at most 13 histograms of at
+most 8 ints, and each further t costs dim + 1 shifts.
+
+Monte Carlo up to 64 labels runs in chunks of at most 1024 pick lists,
+drawn straight into uint64 and built and ranked in numpy (a chunk at 64
+labels peaks near 3 MB).  Past 64 labels a row does not fit a uint64,
+so each sample is built by the scalar group_rows and ranked by
+_exponent: the stream holds one element, dim Python ints, at a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -173,7 +178,9 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
 # group orders exact mode enumerates: O(7) and Sp(6), 1451520 elements
-# each, are the largest, and their prefix tree takes 0.1-0.3 s
+# each, are the largest, and their prefix tree takes 0.1-0.3 s; the
+# budget also bounds batch.exact_histogram's cache, one histogram per
+# admitted (group, dim, restricted), 13 in all
 _EXACT_BUDGET = 10**7
 # Monte Carlo pick lists per batch up to 64 labels, near 3 MB at 64
 _MC_CHUNK = 1024

@@ -300,11 +300,14 @@ def _index_picks(kind: str, dim: int, index: int) -> list[int]:
         rem, digit = divmod(rem, s)
         picks.append(digit)
     if index < 1 or rem:
-        # from 2^64 on the order is named by its size: O(100) has about
-        # 1500 digits, and past 4300 Python refuses to print an integer
+        # from 2^64 on the order and the index are named by their size: O(100)
+        # has about 1500 digits, and past 4300 Python refuses to print an integer
         low = level_bits(kind, dim)
         top = group_order(kind, dim) if low < 64 else f"N, a group order N of at least 2^{low}"
-        raise ValueError(f"index {index} out of range 1..{top}")
+        size = abs(index).bit_length()
+        sign = "negative " if index < 0 else ""
+        name = f"index {index}" if size <= 64 else f"{sign}index of {size} bits"
+        raise ValueError(f"{name} out of range 1..{top}")
     return picks
 
 

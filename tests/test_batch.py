@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pclifford import batch
 from pclifford.batch import (
     _CHUNK,
     _every_element,
@@ -189,6 +190,34 @@ def test_exact_histogram_counts_the_scalar_exponents(kind, dim, restricted):
     assert {e: count for e, count in enumerate(hist) if count} == want
 
 
+def test_exact_histogram_caches_a_tuple():
+    """The cached value is immutable, so no caller can change a count."""
+    exact_histogram.cache_clear()
+    hist = exact_histogram("symplectic", 4, False)
+    assert type(hist) is tuple
+    assert exact_histogram("symplectic", 4, False) is hist
+    assert exact_histogram.cache_info().currsize == 1
+
+
+def test_another_t_of_the_same_group_does_not_walk_the_tree_again(monkeypatch):
+    walks = []
+
+    def counted(kind, dim):
+        walks.append((kind, dim))
+        return _every_element(kind, dim)
+
+    monkeypatch.setattr(batch, "_every_element", counted)
+    exact_histogram.cache_clear()
+    values = [frame_potential("orthogonal", 4, t).value for t in (2, 3, 4)]
+    assert values == [4, 23, 190] and walks == [("orthogonal", 4)]
+    # restricted is another histogram of the same group
+    assert [parity_frame_potential(4, t).value for t in (2, 3, 4)] == [2, 5, 15]
+    assert walks == [("orthogonal", 4)] * 2
+    frame_potential("orthogonal", 4, 5)
+    parity_frame_potential(4, 5)
+    assert len(walks) == 2
+
+
 @pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
 def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
     """O(7) and Sp(6), 1451520 elements each: one key per element, the
@@ -205,7 +234,9 @@ def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
 def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
     """At the largest orders the budget admits, the tree holds one array
     of at most _CHUNK elements per level: about 0.8 MB traced, where the
-    index chunks before it took about 0.4 MB."""
+    index chunks before it took about 0.4 MB.  The cache is cleared first:
+    a histogram left by an earlier test would skip the walk."""
+    exact_histogram.cache_clear()
     tracemalloc.start()
     try:
         frame_potential(kind, dim, 2)

@@ -20,9 +20,12 @@ from pclifford.group import (
     sample_orthogonal_random,
     sample_symplectic,
 )
+from pclifford import batch
+from pclifford.batch import exact_histogram
 from pclifford.design import (
     FixedPointProfile,
     _orbit_generators,
+    _potential,
     fixed_point_profile,
     frame_potential,
     haar_frame_potential,
@@ -182,6 +185,67 @@ class TestFramePotential:
         payload = json.loads(rep.to_json())
         assert payload["samples"] == 50 and payload["seed"] == 3
         assert "value" not in payload
+
+
+# ---------------------------------------------------------------------------
+# the exponent histogram, enumerated once per group and process
+
+# every (kind, dim, restricted) that exact mode admits
+EXACT_KEYS = (
+    [("orthogonal", dim, False) for dim in range(1, 8)]
+    + [("orthogonal", dim, True) for dim in (2, 4, 6)]
+    + [("symplectic", dim, False) for dim in (2, 4, 6)]
+)
+
+
+def exact_value(kind, dim, restricted, t):
+    if restricted:
+        return parity_frame_potential(dim, t).value
+    return frame_potential(kind, dim, t).value
+
+
+@pytest.mark.parametrize("kind, dim, restricted", EXACT_KEYS)
+def test_warm_cache_gives_the_potentials_of_a_fresh_walk(kind, dim, restricted):
+    exact_histogram.cache_clear()
+    warm = [exact_value(kind, dim, restricted, t) for t in range(1, 6)]  # t = 1 fills it
+    cold = []
+    for t in range(1, 6):
+        exact_histogram.cache_clear()
+        cold.append(exact_value(kind, dim, restricted, t))
+    assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "kind, dim, restricted",
+    [("orthogonal", 8, False), ("orthogonal", 8, True), ("symplectic", 8, False)],
+)
+def test_refused_request_adds_no_cache_entry(kind, dim, restricted):
+    exact_value("symplectic", 2, False, 2)  # at least one entry
+    before = exact_histogram.cache_info()
+    with pytest.raises(ValueError, match="budget"):
+        exact_value(kind, dim, restricted, 2)
+    assert exact_histogram.cache_info() == before
+
+
+def test_exact_mode_admits_13_histograms_of_at_most_8_ints(monkeypatch):
+    """The histogram cache has no maxsize: the exact-mode budget bounds it.
+    Raising the budget admits more keys and fails this test."""
+    asked = []
+
+    def stub(kind, dim, restricted):
+        asked.append((kind, dim, restricted))
+        return (group_order(kind, dim),) + (0,) * dim
+
+    monkeypatch.setattr(batch, "exact_histogram", stub)
+    for kind in ("orthogonal", "symplectic"):
+        for dim in range(1, 65):
+            for restricted in (False, True):
+                try:
+                    _potential(kind, dim, 2, restricted, "exact", None, 1)
+                except ValueError:
+                    pass
+    assert sorted(asked) == sorted(EXACT_KEYS) and len(asked) == 13
+    assert max(dim + 1 for _, dim, _ in asked) == 8
 
 
 class TestHaarReference:

@@ -273,6 +273,44 @@ class TestSampleSymplectic:
             sample_symplectic_random(4, 7, basis)
 
 
+def _param_id(v):
+    """The sampler's name and the index, by its bit count from 2^64 on:
+    pytest would print a huge index into the test name."""
+    if callable(v):
+        return v.__name__
+    if isinstance(v, int):
+        return str(v) if abs(v) < 1 << 64 else f"{'-' * (v < 0)}{abs(v).bit_length()}bits"
+    return "msg"
+
+
+@pytest.mark.parametrize(
+    "sampler, index, message",
+    [
+        (sample_orthogonal, 10**5000, "index of 16610 bits out of range 1..48"),
+        (sample_orthogonal, -(10**5000), "negative index of 16610 bits out of range 1..48"),
+        (sample_symplectic, 10**5000, "index of 16610 bits out of range 1..720"),
+        (sample_symplectic, -(10**5000), "negative index of 16610 bits out of range 1..720"),
+        # the switch: printed below 2^64, named by its bit count from 2^64 on
+        (sample_orthogonal, 2**64 - 1, f"index {2**64 - 1} out of range 1..48"),
+        (sample_orthogonal, -(2**64 - 1), f"index {-(2**64 - 1)} out of range 1..48"),
+        (sample_symplectic, 2**64, "index of 65 bits out of range 1..720"),
+        (sample_symplectic, -(2**64), "negative index of 65 bits out of range 1..720"),
+        # small indices keep their message
+        (sample_orthogonal, 49, "index 49 out of range 1..48"),
+        (sample_orthogonal, 0, "index 0 out of range 1..48"),
+        (sample_symplectic, 721, "index 721 out of range 1..720"),
+        (sample_symplectic, -5, "index -5 out of range 1..720"),
+    ],
+    ids=_param_id,
+)
+def test_out_of_range_index_is_named_by_its_size_from_2_to_the_64(sampler, index, message):
+    """Past 4300 digits Python refuses to print an integer, so a huge
+    index would raise its digit-limit error instead of this message."""
+    with pytest.raises(ValueError) as info:
+        sampler(4, index)
+    assert str(info.value) == message
+
+
 class TestDecomposeOrthogonal:
     def test_identity_gives_empty_word(self):
         word = decompose_orthogonal(OrthogonalMap(BitMatrix.identity(6)))
