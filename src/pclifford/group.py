@@ -225,7 +225,8 @@ def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
 
 
 # the most labels of a group element built from a pick list: its level
-# sizes and rows take dim^2 bits, and the build time grows about as dim^2.4
+# sizes and rows take dim^2 bits, and the build time grows about as dim^2
+# (its dense reflections take their rows through itertools.compress)
 LABEL_CAP = 4096
 
 

@@ -1,14 +1,17 @@
 """Packed-int kernels against the loop implementations they replaced."""
 
+import bisect
 import functools
 import itertools
 import operator
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pclifford import _bits
 from pclifford._bits import (
     eta_swap,
     gather,
@@ -251,13 +254,58 @@ def test_transvection_matches_loop(n, seed, zero):
     assert got == want
 
 
-SELECTORS = ("zero", "one-bit", "two-bit", "random")
+SELECTORS = (
+    "zero",
+    "one-bit",
+    "two-bit",
+    "random",
+    "short",
+    "below-switch",
+    "at-switch",
+    "above-switch",
+)
+
+
+def read_through_compress(x):
+    """Whether gather and rank_one read the rows of x through compress:
+    a reflection by x on the identity rows calls it twice or never."""
+    m = x.bit_length()
+    rows = [1 << (m - 1 - i) for i in range(m)]
+    with mock.patch.object(_bits, "compress", wraps=itertools.compress) as spy:
+        rank_one(rows, x, x, m)
+    assert spy.call_count in (0, 2)
+    return spy.call_count == 2
+
+
+@functools.cache
+def switch_weight(m):
+    """The least weight at which a selector of bit length m is read through
+    compress, by bisection; m + 1 when no weight of that length is."""
+    ones = (1 << m) - 1
+
+    def top_bits_dense(w):
+        return read_through_compress(ones ^ (ones >> w))
+
+    return bisect.bisect_left(range(1, m + 1), True, key=top_bits_dense) + 1
 
 
 def selector(rng, n, kind):
-    """A zero, one-bit, two-bit or uniformly random vector of length n."""
+    """A vector of length n: zero, one or two set bits, uniform, uniform
+    of a random shorter bit length (a level k < n of the builders), or of
+    bit length m <= n and weight one below, at or one above the weight
+    at which gather and rank_one switch to compress."""
     if kind == "random":
         return rng.getrandbits(n)
+    if kind == "short":
+        return rng.getrandbits(rng.randint(1, n))
+    if kind.endswith("switch"):
+        m = rng.randint(1, n)
+        shift = {"below-switch": -1, "at-switch": 0, "above-switch": 1}[kind]
+        weight = min(max(switch_weight(m) + shift, 1), m)
+        x = sum(1 << p for p in rng.sample(range(m - 1), weight - 1)) | 1 << (m - 1)
+        assert x.bit_length() == m and x.bit_count() == weight
+        assert read_through_compress(x) == (weight >= switch_weight(m))
+        return x
     weight = {"zero": 0, "one-bit": 1, "two-bit": 2}[kind]
     return sum(1 << p for p in rng.sample(range(n), min(weight, n)))
 
@@ -276,6 +324,10 @@ def check_rank_one(n, seed, u_kind, h_kind):
 @given(lengths, seeds, st.sampled_from(SELECTORS), st.sampled_from(SELECTORS))
 @example(1, 0, "one-bit", "one-bit")
 @example(MAX_LEN, 1, "two-bit", "random")
+@example(64, 2, "at-switch", "below-switch")
+@example(256, 3, "above-switch", "short")
+@example(1024, 4, "below-switch", "at-switch")
+@example(2048, 5, "at-switch", "above-switch")
 def test_rank_one_matches_inlined_loops(n, seed, u_kind, h_kind):
     """u and h drawn independently, not only the pairs (a, a) and (eta h, h)."""
     check_rank_one(n, seed, u_kind, h_kind)
@@ -287,10 +339,16 @@ def test_rank_one_matches_inlined_loops_at_4096():
 
 
 @settings(max_examples=40, deadline=None)
-@given(lengths, seeds)
-def test_gather_matches_loop(n, seed):
-    rows = words(seed, n, n + 1)
-    x = rows.pop()
+@given(lengths, seeds, st.sampled_from(SELECTORS))
+@example(1, 0, "random")
+@example(64, 1, "at-switch")
+@example(1024, 2, "below-switch")
+@example(4096, 3, "at-switch")
+@example(4096, 4, "above-switch")
+@example(4096, 5, "two-bit")
+def test_gather_matches_loop(n, seed, kind):
+    rows = words(seed, n, n)
+    x = selector(random.Random(seed), n, kind)
     acc = 0
     for i in range(n):
         if (x >> (n - 1 - i)) & 1:

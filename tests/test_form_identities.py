@@ -4,6 +4,8 @@ against the generic F2 linear algebra each path replaced.
 The ref_* functions are the earlier implementations, copied as they were:
 map checks by transpose and product (plus S j = j for O), their products
 taken one gather per row so that they do not run the kernel they check,
+each gather and rank-one update by the set-bit loop, so that no
+reference runs the selection of _bits.gather that the builders use,
 the column-at-a-time S F S^T = F check that one product replaced, the
 symplectic builder that took the partner of c1 and the transvection
 middles from solve_affine, the encoder that accumulated S^T and
@@ -22,9 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from pclifford._bits import (
     eta_swap,
-    gather,
     householder_pair,
-    rank_one,
     right_reflect,
     row_parities,
     symp_pauli,
@@ -57,10 +57,32 @@ BASES = ("pauli", "majorana")
 # references
 
 
+def ref_gather(rows, x: int, n: int) -> int:
+    """x^T R by the set-bit loop, as _bits.gather was for every selector."""
+    acc = 0
+    while x:
+        p = (x & -x).bit_length() - 1
+        acc ^= rows[n - 1 - p]
+        x &= x - 1
+    return acc
+
+
+def ref_rank_one(rows: list[int], u: int, h: int, n: int) -> None:
+    """In-place left multiplication by I + h u^T, both selections by the
+    set-bit loop (tests/test_bits.py holds the same reference)."""
+    acc = ref_gather(rows, u, n)
+    if not acc:
+        return
+    while h:
+        p = (h & -h).bit_length() - 1
+        rows[n - 1 - p] ^= acc
+        h &= h - 1
+
+
 def ref_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """a b by one gather per row of a, as BitMatrix.mul was before it
     called _bits.product."""
-    return BitMatrix(a.rows, b.cols, tuple(gather(b.data, r, a.cols) for r in a.data))
+    return BitMatrix(a.rows, b.cols, tuple(ref_gather(b.data, r, a.cols) for r in a.data))
 
 
 def ref_orthogonal_ok(m: BitMatrix) -> bool:
@@ -146,7 +168,7 @@ def ref_symplectic_rows(dim, picks):
                 c2 ^= kv.bits
         rows = [1 << (k - 1), 1 << (k - 2)] + rows
         for h in ref_pair_transvections(c1, c2, k):
-            rank_one(rows, eta_swap(h, k), h, k)
+            ref_rank_one(rows, eta_swap(h, k), h, k)
     return rows
 
 
@@ -168,8 +190,8 @@ def ref_stab_clifford(M):
         else:
             a_tail, b_tail = householder_pair(e_tail, m_tail, tw)
         a = (m_lead << tw) | a_tail
-        rank_one(work, a, a, n2)
-        rank_one(work, b_tail, b_tail, n2)
+        ref_rank_one(work, a, a, n2)
+        ref_rank_one(work, b_tail, b_tail, n2)
         pairs.append((a, b_tail))
     return BitMatrix(n2, n2, tuple(work)).transpose(), pairs
 
@@ -186,8 +208,8 @@ def ref_decompose_orthogonal(S):
             fbits = (fbits << 1) | ((work[i] >> shift) & 1)
         a, b = householder_pair(1 << shift, fbits, k)
         block = [work[i] & ((1 << k) - 1) for i in range(off, N)]
-        rank_one(block, a, a, k)
-        rank_one(block, b, b, k)
+        ref_rank_one(block, a, a, k)
+        ref_rank_one(block, b, b, k)
         assert block[0] == 1 << shift, "column peel failed"
         for i in range(off, N):
             work[i] = block[i - off]
@@ -234,7 +256,7 @@ def test_right_reflect_is_a_product_with_reflections(n, seed, count):
     want = BitMatrix(n, n, tuple(rows))
     for a in vecs:
         h = [1 << (n - 1 - i) for i in range(n)]
-        rank_one(h, a, a, n)  # h_a = I + a a^T, left-multiplied onto I
+        ref_rank_one(h, a, a, n)  # h_a = I + a a^T, left-multiplied onto I
         want = want.mul(BitMatrix(n, n, tuple(h)))
     right_reflect(rows, *vecs)
     assert tuple(rows) == want.data

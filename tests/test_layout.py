@@ -1,6 +1,6 @@
-"""Module layout: private helpers and set-bit loops live in the _bits module,
-each of its kernels has a caller, and only the reference layers build the
-dense Jordan-Wigner matrix."""
+"""Module layout: private helpers, set-bit loops and byte selectors live in
+the _bits module, each of its kernels has a caller, and only the reference
+layers build the dense Jordan-Wigner matrix."""
 
 import ast
 import os
@@ -104,14 +104,60 @@ def set_bit_loops(path):
     )
 
 
+def binary_rendering(node):
+    """Whether node is bin(x) or format(x, spec) with a binary spec such
+    as "b" or f"0{m}b"."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    if node.func.id == "bin":
+        return True
+    if node.func.id != "format" or len(node.args) != 2:
+        return False
+    spec = node.args[1]
+    if isinstance(spec, ast.JoinedStr) and spec.values:
+        spec = spec.values[-1]
+    return isinstance(spec, ast.Constant) and str(spec.value).endswith("b")
+
+
+def chain_base(node):
+    """The start of a chain of method calls and subscripts, such as the
+    bin(x) of bin(x)[2:].encode()."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            node = node.func.value
+        else:
+            return node
+
+
+def byte_selectors(path):
+    """Line numbers of each binary rendering of an int that is encoded or
+    translated straight into bytes: the selector compress reads one row
+    per bit from."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("encode", "translate")
+            and binary_rendering(chain_base(node.func.value))
+        }
+    )
+
+
 def test_set_bit_loops_only_in_bits():
-    offenders = {
-        path.name: set_bit_loops(path)
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != SHARED and set_bit_loops(path)
-    }
-    assert offenders == {}
-    assert set_bit_loops(SRC / f"{SHARED}.py")
+    """The set-bit loop and the byte selector, the two ways of picking
+    rows by the bits of a packed int, live in _bits."""
+    for idiom in (set_bit_loops, byte_selectors):
+        offenders = {
+            path.name: idiom(path)
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != SHARED and idiom(path)
+        }
+        assert offenders == {}
+        assert idiom(SRC / f"{SHARED}.py")
 
 
 def test_set_bit_loop_guard_finds_the_step(tmp_path):
@@ -126,6 +172,23 @@ def test_set_bit_loop_guard_finds_the_step(tmp_path):
         "    x &= x - 1\n"
     )
     assert set_bit_loops(probe) == [3, 7]
+
+
+def test_byte_selector_guard_finds_the_rendering(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from itertools import compress\n"
+        "T = bytes.maketrans(b'01', b'\\0\\1')\n"
+        "a = compress(rows, format(x, 'b').encode().translate(T))\n"
+        "sel = format(x, f'0{m}b').encode()\n"
+        "b = list(compress(rows, sel.translate(T)))\n"
+        "c = bin(x)[2:].encode().translate(T)\n"
+        "d = format(x, 'd').translate({48: 32})\n"
+        "e = int(format(x, f'0{k}b')[::-1], 2)\n"
+        "f = compress(rows, [1, 0, 1])\n"
+        "g = '\\n'.join(format(r, 'b') for r in rows).encode()\n"
+    )
+    assert byte_selectors(probe) == [3, 4, 6]
 
 
 def unused_functions(shared, paths):
