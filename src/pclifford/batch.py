@@ -4,7 +4,7 @@ Each function mirrors a scalar one and equals it element by element,
 for rows of at most 64 bits, which fit a uint64:
 
 - random_picks: the pick lists of count random sampler calls, drawn by
-  the same rng.randrange calls in the same order, as uint64;
+  group.random_draws, the same draws as rng.randrange, as uint64;
 - group_rows_batch: group.group_rows, one loop over group.levels;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
 - exponents: design._exponent, the fixed-point exponent of an element;
@@ -22,11 +22,23 @@ becomes np.where branches or a masked XOR-reduction over the batch.  No
 row needs a 65th bit: the transvection middles are closed forms, and the
 restricted rank writes its augmented bit into bit 0.
 
-Each group has one level function, shared by random batches, which
-run every level on one array, and by exact_histogram, which walks the
-group as a tree of shared prefixes; both take the levels and the
-entries each reads from group.levels, so nothing here branches on the
-kind of group.
+A level is split in two.  One vector function per group computes the
+level's vectors from its picks: the reflections (a, b) for O(N), the
+four transvections as rows (eta h, h) for Sp, zero where fewer are
+needed.  One apply step, shared by random batches, which run every
+level on one array, and by exact_histogram, which walks the group as a
+tree of shared prefixes, then makes the level's rank-one updates, one
+_rank_one call each, so no update's temporaries outlive it.  The
+vectors depend on the group, the level k and the picks, never on dim,
+so in a random batch a level of at most 4096 picks reads them from a
+table of the vector function on every pick, with one fancy index.  The
+tables are memoized for the process: O(N) levels k <= 13 and Sp levels
+k <= 6, 15 tables and about 270 kB in all.  Larger levels compute their
+vectors per batch, and the tree computes each level's vectors on every
+pick once per walk.  Both steps take the levels, the entries each reads
+and their radices from group.levels and group.level_sizes, and the
+vector function from a table keyed by kind, so nothing here branches on
+the kind of group.
 
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
@@ -34,24 +46,29 @@ package neither compiles it nor loads numpy.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from ._bits import eta_swap
-from .group import level_sizes, levels
+from .group import level_sizes, levels, random_draws
 
 __all__ = ["random_picks", "exponents", "exact_histogram"]
 
 # elements per array of the exact tree: larger arrays pay numpy's call
 # overhead less often, smaller ones stay in cache; 2048 measured best
 _CHUNK = 2048
+# a level with at most this many picks reads its vectors from a table of
+# every pick: O(N) levels k <= 13 and Sp levels k <= 6, 15 tables and about
+# 270 kB in all
+_TABLE_PICKS = 4096
 
 
 def random_picks(rng, sizes: list[int], count: int) -> np.ndarray:
     """(count, len(sizes)) pick lists of count sampler calls: rng.randrange(s)
-    for each s of sizes, one pick list after another."""
-    draws = (rng.randrange(s) for _ in range(count) for s in sizes)
+    for each s of sizes, one pick list after another, by random_draws."""
+    draws = random_draws(rng, sizes, count)
     return np.fromiter(draws, np.uint64, count * len(sizes)).reshape(count, len(sizes))
 
 
@@ -61,12 +78,13 @@ def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
     table = levels(kind, dim)
     if dim > 64:
         raise ValueError("batched rows are uint64: dim must be <= 64")
+    sizes = level_sizes(kind, dim)
     # entry i of every pick list in one contiguous row, as the rows
     picks = np.ascontiguousarray(np.asarray(picks, dtype=np.uint64).T)
-    level_fn = _LEVEL[kind]
     rows = np.repeat(_identity(dim), picks.shape[1], axis=1)
     for k, entries in table:
-        level_fn(rows[dim - k :], k, *(picks[e] for e in entries))
+        radices = tuple(sizes[e] for e in entries)
+        _apply(rows[dim - k :], *_level_vectors(kind, k, radices, [picks[e] for e in entries]))
     return rows
 
 
@@ -120,10 +138,11 @@ def _every_element(kind: str, dim: int):
     per level is alive.
     """
     sizes = level_sizes(kind, dim)
-    level_fn = _LEVEL[kind]
-    # the picks of each level, its first entry varying slowest
+    vector_fn = _VECTORS[kind]
+    # the vectors of each level on every pick, computed once per walk: a
+    # table would only copy them
     tree = [
-        (k, np.indices([sizes[e] for e in entries], np.uint64).reshape(len(entries), -1))
+        (k, *vector_fn(k, *_every_pick([sizes[e] for e in entries])))
         for k, entries in levels(kind, dim)
     ]
 
@@ -131,19 +150,20 @@ def _every_element(kind: str, dim: int):
         if depth == len(tree):
             yield states
             return
-        k, picks = tree[depth]
-        size = picks.shape[1]
+        k, vectors, layout = tree[depth]
+        size = vectors.shape[1]
         m = min(size, _CHUNK)  # picks per block
         g = max(1, _CHUNK // m)  # states per block
         for i in range(0, states.shape[1], g):
             prefix = states[:, i : i + g]
             for j in range(0, size, m):
-                block = picks[:, j : j + m]
+                block = vectors[:, j : j + m]
                 n = block.shape[1]
                 level = np.empty((k, prefix.shape[1] * n), np.uint64)
                 level[: k - len(prefix)] = _identity(k)[: k - len(prefix)]
                 level[k - len(prefix) :] = np.repeat(prefix, n, axis=1)
-                level_fn(level, k, *np.tile(block, prefix.shape[1]))
+                # the tiled vectors die with the call, before the walk goes deeper
+                _apply(level, np.tile(block, prefix.shape[1]), layout)
                 yield from walk(level, depth + 1)
 
     # the rows no level builds, the identity
@@ -163,6 +183,12 @@ def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the builders of group, level by level over the batch
+
+
+def _every_pick(radices) -> np.ndarray:
+    """Every pick of a level, one row per entry, the first entry varying
+    slowest: column c is c as a mixed-radix number."""
+    return np.indices(radices, np.uint64).reshape(len(radices), -1)
 
 
 def _identity(n: int) -> np.ndarray:
@@ -190,10 +216,14 @@ def _rank_one(level: np.ndarray, u: np.ndarray, h: np.ndarray) -> None:
     level ^= select & acc
 
 
-def _orthogonal_level(level: np.ndarray, k: int, idx: np.ndarray) -> None:
-    """Level k on a (k, B) batch whose row 0 is the top bit and rows 1..
-    hold level k - 1, in place: the two reflections of householder_pair
-    send the top bit to the idx-th odd-parity vector f."""
+# the updates of a level as the rows (u, h) of its vectors that _rank_one takes
+_REFLECTIONS = ((0, 0), (1, 1))
+_TRANSVECTIONS = ((0, 1), (2, 3), (4, 5), (6, 7))
+
+
+def _orthogonal_vectors(k: int, idx: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The two reflections of level k as the rows (a, b): householder_pair
+    sends the top bit to the idx-th odd-parity vector f."""
     f = (idx << 1) | (1 ^ (np.bitwise_count(idx) & 1))
     # householder_pair(top, f): one reflection when f misses the top
     # bit, else two through z, the top zero of f (f is never all-ones);
@@ -203,8 +233,7 @@ def _orthogonal_level(level: np.ndarray, k: int, idx: np.ndarray) -> None:
     has_top = (f & top) != 0
     a = np.where(has_top, z | top, f ^ top)
     b = np.where(has_top, f ^ z, 0)
-    _rank_one(level, a, a)
-    _rank_one(level, b, b)
+    return np.stack([a, b]), _REFLECTIONS
 
 
 def _symp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -218,10 +247,10 @@ def _route(e: int, x: np.ndarray, w: np.ndarray | int, dim: int) -> list[np.ndar
     return [np.where(direct, e ^ x, e ^ w), np.where(direct, 0, w ^ x)]
 
 
-def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray) -> None:
-    """Level k on a (k, B) batch whose rows 0 and 1 are e1 and e2 and rows
-    2.. hold level k - 2, in place: transvections route e1 and e2 to c1 =
-    p1 + 1 and its p2-th partner c2."""
+def _symplectic_vectors(k: int, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The four transvections h of level k as the rows (eta h, h), zero
+    where fewer are needed: they route e1 and e2 to c1 = p1 + 1 and its
+    p2-th partner c2."""
     c1 = p1 + 1
     y = eta_swap(c1, k)
     top = _top_bits(y, k)
@@ -237,9 +266,40 @@ def _symplectic_level(level: np.ndarray, k: int, p1: np.ndarray, p2: np.ndarray)
     d = c2
     for h in reversed(t_part):
         d = d ^ np.where(_symp(h, d, k), h, 0)
-    for h in _route(e2, d, e1 | e2, k) + t_part:
-        _rank_one(level, eta_swap(h, k), h)
+    hs = _route(e2, d, e1 | e2, k) + t_part
+    return np.stack([v for h in hs for v in (eta_swap(h, k), h)]), _TRANSVECTIONS
 
 
-# the level function of each group, for the entries levels gives it
-_LEVEL = {"orthogonal": _orthogonal_level, "symplectic": _symplectic_level}
+# the vector function of each group, for the entries levels gives it
+_VECTORS = {"orthogonal": _orthogonal_vectors, "symplectic": _symplectic_vectors}
+
+
+@lru_cache(maxsize=None)
+def _level_table(kind: str, k: int, radices: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """The vector function of a level on every pick, the first entry
+    varying slowest, read-only: at most _TABLE_PICKS columns."""
+    vectors, layout = _VECTORS[kind](k, *_every_pick(radices))
+    vectors.flags.writeable = False
+    return vectors, layout
+
+
+def _level_vectors(kind: str, k: int, radices: tuple[int, ...], picks) -> tuple[np.ndarray, tuple]:
+    """The vectors of level k for the picks of its entries, one array per
+    entry, with the update layout: a column of the level's table when it
+    has at most _TABLE_PICKS picks, else computed."""
+    if math.prod(radices) > _TABLE_PICKS:
+        return _VECTORS[kind](k, *picks)
+    # the picks as one mixed-radix index, the first entry most significant
+    index = picks[0]
+    for p, r in zip(picks[1:], radices[1:]):
+        index = index * r + p
+    vectors, layout = _level_table(kind, k, radices)
+    return vectors[:, index], layout
+
+
+def _apply(level: np.ndarray, vectors: np.ndarray, layout: tuple) -> None:
+    """The updates of a level in place on a (k, B) batch, in layout order;
+    each _rank_one frees its temporaries before the next is built."""
+    rows = list(vectors)  # one view per row: a reflection passes one twice
+    for i, j in layout:
+        _rank_one(level, rows[i], rows[j])

@@ -33,11 +33,17 @@ budget admits 13 such keys, O(1..7), restricted O(2), O(4) and O(6), and
 Sp(2), Sp(4) and Sp(6), so the cache holds at most 13 histograms of at
 most 8 ints, and each further t costs dim + 1 shifts.
 
-Monte Carlo up to 64 labels runs in chunks of at most 1024 pick lists,
-drawn straight into uint64 and built and ranked in numpy (a chunk at 64
-labels peaks near 3 MB).  Past 64 labels a row does not fit a uint64,
-so each sample is built by the scalar group_rows and ranked by
-_exponent: the stream holds one element, dim Python ints, at a time.
+Every Monte Carlo pick comes from group.random_draws, which runs
+randrange's own getrandbits loop inline on a random.Random: the same
+draws as the samplers, at about a third of the cost of randrange.  Up
+to 64 labels the run goes in chunks of at most 1024 pick lists, drawn
+straight into uint64 and built and ranked in numpy (a chunk at 64
+labels peaks near 3 MB); levels of at most 4096 picks read their
+vectors from a table, one fancy index per level, so a chunk of 64
+samples costs little more than its draws.  Past 64 labels a row does
+not fit a uint64, so each sample is built by the scalar group_rows and
+ranked by _exponent: the stream holds one element, dim Python ints, at
+a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -67,6 +73,7 @@ from .group import (
     group_rows,
     level_bits,
     level_sizes,
+    random_draws,
 )
 
 __all__ = [
@@ -236,14 +243,14 @@ def _potential(
     # only these can be recorded and passed back to replay the run
     if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
         raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
-    seed = random.SystemRandom().getrandbits(53) if seed is None else seed
+    if seed is None:
+        seed = next(random_draws(random.SystemRandom(), [1 << 53]))
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     sizes = level_sizes(kind, dim)
     if dim > 64:  # past the uint64 rows of the batch module, one at a time
-        stream = (
-            _exponent(group_rows(kind, dim, [rng.randrange(s) for s in sizes]), dim, restricted)
-            for _ in range(samples)
-        )
+        draws = random_draws(rng, sizes, samples)
+        pick_lists = (list(itertools.islice(draws, len(sizes))) for _ in range(samples))
+        stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in pick_lists)
     else:
         # chunks in sample order; the last draws only the samples that remain
         chunks = (

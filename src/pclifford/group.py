@@ -21,15 +21,17 @@ one entry per level N, N-1, ..., 2 (the odd-parity first column).
 Sp(2n) has two per level 2n, 2n-2, ..., 2: the first column c1, then
 its partner c2.  levels(kind, dim) is the one map from a level to the
 entries it reads; group_rows and the batch builders each loop over it
-and hand the entries to one level function per group.  Random samplers
+and hand the entries to one function per group.  Random samplers
 draw rng.randrange(s) for each entry in that order, never a big
-integer; index samplers read index - 1 as a mixed-radix number whose
-least significant digit is the first entry, and the group order is
-the product of the sizes.  Reordering the
-entries changes every seeded and indexed output.  The batch module
-builds whole arrays of pick lists at once, each element equal to what
-group_rows gives, and enumerates every pick list as a tree of shared
-prefixes, bottom level first.
+integer, and all draw through random_draws: on a random.Random it runs
+randrange's own getrandbits loop inline, so it gives the same draws and
+leaves the same state, and any other rng draws by its own randrange.
+Index samplers read index - 1 as a mixed-radix number whose least
+significant digit is the first entry, and the group order is the
+product of the sizes.  Reordering the entries changes every seeded and
+indexed output.  The batch module builds whole arrays of pick lists at
+once, each element equal to what group_rows gives, and enumerates every
+pick list as a tree of shared prefixes, bottom level first.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._bits import (
     eta_swap,
@@ -69,6 +71,7 @@ __all__ = [
     "level_sizes",
     "level_bits",
     "levels",
+    "random_draws",
     "LABEL_CAP",
     "group_rows",
     "decompose_orthogonal",
@@ -312,9 +315,38 @@ def _index_picks(kind: str, dim: int, index: int) -> list[int]:
     return picks
 
 
+def random_draws(rng: random.Random, sizes: Sequence[int], count: int = 1) -> Iterator[int]:
+    """rng.randrange(s) for each s of sizes, count times over, one draw
+    after another: the pick lists of count random sampler calls.
+
+    On a random.Random itself, randrange(s) is getrandbits(k), k =
+    s.bit_length(), drawn again while it is not below s.  That loop runs
+    here inline, with getrandbits bound once: the same draws and the same
+    final state as randrange, at about a third of its cost.  Any other rng
+    (a subclass, which may override random() or randrange, or
+    SystemRandom) draws through its own randrange.  An s < 1 raises
+    ValueError, as randrange does: the getrandbits loop would never end.
+    """
+    if min(sizes, default=1) < 1:
+        raise ValueError("empty range for randrange()")
+    if type(rng) is not random.Random:
+        for _ in range(count):
+            for s in sizes:
+                yield rng.randrange(s)
+        return
+    getrandbits = rng.getrandbits
+    bits = [(s, s.bit_length()) for s in sizes]
+    for _ in range(count):
+        for s, k in bits:
+            r = getrandbits(k)
+            while r >= s:
+                r = getrandbits(k)
+            yield r
+
+
 def _random_picks(kind: str, dim: int, seed) -> list[int]:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return [rng.randrange(s) for s in level_sizes(kind, dim)]
+    return list(random_draws(rng, level_sizes(kind, dim)))
 
 
 # ---------------------------------------------------------------------------

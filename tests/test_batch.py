@@ -4,11 +4,15 @@ group_rows_batch must equal group_rows on every pick list, rank_batch
 must equal rank_ints, and the exponents of a chunk must equal _exponent
 element by element.  The prefix tree of exact mode must give every
 element of the group once, and its histogram the counts of the scalar
-exponents.  Dimension 64 is the edge of the uint64 rows; the restricted
-rank writes its augmented bit into bit 0, so no row needs a 65th bit.
+exponents.  Each level table must be its vector function on every pick,
+and group.random_draws must draw what rng.randrange draws, to the final
+state of the rng.  Dimension 64 is the edge of the uint64 rows; the
+restricted rank writes its augmented bit into bit 0, so no row needs a
+65th bit.
 """
 
 import itertools
+import math
 from collections import Counter
 import os
 import random
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclifford import batch
+from pclifford import batch, group
 from pclifford.batch import (
     _CHUNK,
     _every_element,
@@ -48,6 +52,7 @@ from pclifford.group import (
     level_bits,
     level_sizes,
     levels,
+    random_draws,
     sample_orthogonal_random,
 )
 
@@ -70,12 +75,14 @@ def batch_rows(kind, dim, picks):
 
 
 EVERY = [("orthogonal", d) for d in range(1, 7)] + [("symplectic", 2), ("symplectic", 4)]
+# O(13) has the last tabulated level (4095 picks) and O(14) the first
+# computed one (8192); Sp(6) the last tabulated Sp level, Sp(8) the first
 SEEDED = [
     (kind, dim)
     for dim in (7, 8, 16, 63, 64)
     for kind in ("orthogonal", "symplectic")
     if kind == "orthogonal" or dim % 2 == 0
-]
+] + [("orthogonal", 13), ("orthogonal", 14), ("symplectic", 6)]
 
 
 @pytest.mark.parametrize("kind, dim", EVERY)
@@ -89,6 +96,66 @@ def test_batch_rows_match_scalar_on_every_pick_list(kind, dim):
 def test_batch_rows_match_scalar_on_seeded_pick_lists(kind, dim):
     picks = seeded_pick_lists(kind, dim, 2000, seed=dim)
     assert batch_rows(kind, dim, picks) == [group_rows(kind, dim, p) for p in picks]
+
+
+@pytest.mark.parametrize("kind, dim", EVERY)
+def test_computed_level_vectors_match_scalar_on_every_pick_list(kind, dim, monkeypatch):
+    """With no level tabulated, every level computes its vectors: the
+    path of levels of more than _TABLE_PICKS picks."""
+    monkeypatch.setattr(batch, "_TABLE_PICKS", 0)
+    picks = every_pick_list(kind, dim)
+    assert batch_rows(kind, dim, picks) == [group_rows(kind, dim, p) for p in picks]
+
+
+def tabulated_levels():
+    """(kind, k, radices) of every level of at most _TABLE_PICKS picks:
+    all of them occur in O(64) and Sp(64)."""
+    found = []
+    for kind in ("orthogonal", "symplectic"):
+        sizes = level_sizes(kind, 64)
+        for k, entries in levels(kind, 64):
+            radices = tuple(sizes[e] for e in entries)
+            if math.prod(radices) <= batch._TABLE_PICKS:
+                found.append((kind, k, radices))
+    return found
+
+
+def test_tables_cover_the_small_levels_in_about_270_kb():
+    levels_found = tabulated_levels()
+    assert [(kind, k) for kind, k, _ in levels_found] == [
+        *(("orthogonal", k) for k in range(2, 14)),
+        *(("symplectic", k) for k in (2, 4, 6)),
+    ]
+    batch._level_table.cache_clear()
+    for kind, dim in (("orthogonal", 64), ("symplectic", 64)):
+        group_rows_batch(kind, dim, seeded_pick_lists(kind, dim, 3, seed=dim))
+    assert batch._level_table.cache_info().currsize == len(levels_found) == 15
+    tables = [batch._level_table(*level)[0] for level in levels_found]
+    assert sum(t.nbytes for t in tables) < 300_000
+    assert batch._level_table.cache_info().currsize == 15  # those were cache hits
+
+
+@pytest.mark.parametrize("kind, k, radices", tabulated_levels())
+def test_level_table_is_the_vector_function_on_every_pick(kind, k, radices):
+    """Column c of a table is the vector function on the c-th pick, the
+    first entry varying slowest; applied to the identity, it makes the
+    scalar level of group."""
+    batch._level_table.cache_clear()
+    vectors, layout = batch._level_table(kind, k, radices)
+    assert not vectors.flags.writeable
+    every = list(itertools.product(*map(range, radices)))
+    assert vectors.shape[1] == len(every)
+    one = [batch._VECTORS[kind](k, *np.array(p, np.uint64)[:, None]) for p in every]
+    assert all(lay == layout for _, lay in one)
+    assert np.array_equal(np.hstack([v for v, _ in one]), vectors)
+    level = np.repeat(batch._identity(k), len(every), axis=1)
+    batch._apply(level, vectors, layout)
+    want = []
+    for p in every:
+        rows = [1 << (k - 1 - i) for i in range(k)]
+        group._LEVEL[kind](rows, k, *p)
+        want.append(rows)
+    assert level.T.tolist() == want
 
 
 def test_batch_rows_take_the_extreme_picks():
@@ -246,12 +313,116 @@ def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
     assert peak < 3_000_000
 
 
+# the admitted keys of exact mode: O(1..7), restricted O(2, 4, 6), Sp(2, 4, 6)
+ADMITTED = with_restriction(EVERY) + [("orthogonal", 7, False), ("symplectic", 6, False)]
+
+
+def index_pick_lists(kind, dim, lo, hi):
+    """The pick lists of indices lo + 1..hi as _index_picks decodes them,
+    as a (hi - lo, len(level_sizes)) uint64 array."""
+    sizes = level_sizes(kind, dim)
+    picks = np.empty((hi - lo, len(sizes)), np.uint64)
+    rem = np.arange(lo, hi, dtype=np.uint64)
+    for i, s in enumerate(sizes):
+        picks[:, i] = rem % np.uint64(s)
+        rem //= np.uint64(s)
+    return picks
+
+
+@pytest.mark.parametrize("kind, dim, restricted", ADMITTED)
+def test_cold_exact_histogram_counts_every_index(kind, dim, restricted):
+    """Each admitted key walked with the histograms and the tables cleared
+    equals the exponents of every index built as a random batch, through
+    the tables; where every element is enumerated here, also the scalar
+    exponents."""
+    exact_histogram.cache_clear()
+    batch._level_table.cache_clear()
+    cold = exact_histogram(kind, dim, restricted)
+    order = group_order(kind, dim)
+    want = np.zeros(dim + 1, np.int64)
+    for lo in range(0, order, 1 << 16):
+        picks = index_pick_lists(kind, dim, lo, min(order, lo + (1 << 16)))
+        want += np.bincount(exponents(kind, dim, restricted, picks), minlength=dim + 1)
+    assert cold == tuple(want.tolist())
+    if (kind, dim) in EVERY:
+        elements = (group_rows(kind, dim, p) for p in every_pick_list(kind, dim))
+        scalar = Counter(_exponent(rows, dim, restricted) for rows in elements)
+        assert {e: count for e, count in enumerate(cold) if count} == scalar
+    assert len(ADMITTED) == 13
+
+
+def test_index_pick_lists_decode_like_the_index_samplers():
+    kind, dim = "symplectic", 4
+    picks = index_pick_lists(kind, dim, 0, group_order(kind, dim))
+    want = [_index_picks(kind, dim, i) for i in range(1, group_order(kind, dim) + 1)]
+    assert picks.tolist() == want
+
+
 def test_random_picks_are_the_sampler_draws():
     sizes = level_sizes("symplectic", 8)
     got = random_picks(random.Random(4), sizes, 50)
     assert got.dtype == np.uint64 and got.shape == (50, len(sizes))
     assert got.tolist() == seeded_pick_lists("symplectic", 8, 50, seed=4)
     assert random_picks(random.Random(4), [], 3).shape == (3, 0)
+
+
+# the radices of O(64) and Sp(64) take two-word getrandbits draws: 2^63
+# and 2^64 - 1 are 64 bits long; 2^64, 65 bits, takes three words
+STREAM_CASES = [
+    (level_sizes("orthogonal", 64), 20),
+    (level_sizes("symplectic", 64), 20),
+    ([1, 2, 3, 1 << 63, (1 << 64) - 1, 1 << 64], 200),
+    (level_sizes("symplectic", 8), 0),
+    ([], 5),
+]
+
+
+@pytest.mark.parametrize("sizes, count", STREAM_CASES)
+def test_random_draws_are_randrange_to_the_final_state(sizes, count):
+    want_rng = random.Random(9)
+    want = [want_rng.randrange(s) for _ in range(count) for s in sizes]
+    rng = random.Random(9)
+    assert list(random_draws(rng, sizes, count)) == want
+    assert rng.getstate() == want_rng.getstate()
+    rng = random.Random(9)
+    picks = random_picks(rng, sizes, count)
+    assert picks.shape == (count, len(sizes)) and picks.ravel().tolist() == want
+    assert rng.getstate() == want_rng.getstate()
+
+
+class RandomByFloats(random.Random):
+    """Overriding random() makes randrange draw from it, not getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+class ShiftedRandrange(random.Random):
+    def randrange(self, s):
+        return (super().randrange(s) + 1) % s
+
+
+@pytest.mark.parametrize("cls", [RandomByFloats, ShiftedRandrange])
+def test_random_draws_of_a_subclass_are_its_own_randrange(cls):
+    sizes, count = level_sizes("symplectic", 8), 30
+    want_rng = cls(9)
+    want = [want_rng.randrange(s) for _ in range(count) for s in sizes]
+    # the subclass streams differ from random.Random's, so the test can fail
+    base = random.Random(9)
+    assert want != [base.randrange(s) for _ in range(count) for s in sizes]
+    rng = cls(9)
+    assert list(random_draws(rng, sizes, count)) == want
+    assert rng.getstate() == want_rng.getstate()
+    rng = cls(9)
+    assert random_picks(rng, sizes, count).ravel().tolist() == want
+
+
+def test_random_draws_refuse_an_empty_range_like_randrange():
+    for s in (0, -3):
+        with pytest.raises(ValueError):
+            random.Random(1).randrange(s)
+        with pytest.raises(ValueError, match="empty range"):
+            list(random_draws(random.Random(1), [3, s]))
 
 
 def test_monte_carlo_at_64_labels_draws_uint64_picks():

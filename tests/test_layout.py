@@ -1,6 +1,7 @@
 """Module layout: private helpers, set-bit loops and byte selectors live in
-the _bits module, each of its kernels has a caller, and only the reference
-layers build the dense Jordan-Wigner matrix."""
+the _bits module, each of its kernels has a caller, random picks are drawn
+by one helper of group, and only the reference layers build the dense
+Jordan-Wigner matrix."""
 
 import ast
 import os
@@ -189,6 +190,69 @@ def test_byte_selector_guard_finds_the_rendering(tmp_path):
         "g = '\\n'.join(format(r, 'b') for r in rows).encode()\n"
     )
     assert byte_selectors(probe) == [3, 4, 6]
+
+
+# every random pick is drawn in one place, where randrange's loop runs inline
+DRAW_NAMES = {"randrange", "getrandbits"}
+DRAW_HELPER = "random_draws"
+DRAW_MODULES = ("group", "design", "batch")
+
+
+def rng_draws(path):
+    """Line numbers naming randrange or getrandbits, as an attribute, a
+    bare name or an import, outside the body of the draw helper."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helpers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == DRAW_HELPER
+    ]
+    inside = {id(sub) for helper in helpers for sub in ast.walk(helper)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, ast.Attribute) and node.attr in DRAW_NAMES)
+            or (isinstance(node, ast.Name) and node.id in DRAW_NAMES)
+            or (isinstance(node, ast.ImportFrom) and any(a.name in DRAW_NAMES for a in node.names))
+        )
+    )
+
+
+def test_rng_draws_only_in_the_draw_helper():
+    """group.random_draws is the one place that draws a pick, so the
+    sampler, Monte Carlo and batch streams cannot drift apart."""
+    offenders = {
+        name: rng_draws(SRC / f"{name}.py")
+        for name in DRAW_MODULES
+        if rng_draws(SRC / f"{name}.py")
+    }
+    assert offenders == {}
+    tree = ast.parse((SRC / "group.py").read_text())
+    helper = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == DRAW_HELPER
+    )
+    named = {n.attr for n in ast.walk(helper) if isinstance(n, ast.Attribute)}
+    assert DRAW_NAMES <= named
+
+
+def test_rng_draw_guard_finds_the_draws(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import random\n"
+        "def random_draws(rng, sizes):\n"
+        "    bits = rng.getrandbits\n"
+        "    return [rng.randrange(s) for s in sizes]\n"
+        "def picks(rng, sizes):\n"
+        "    return [rng.randrange(s) for s in sizes]\n"
+        "seed = random.SystemRandom().getrandbits(53)\n"
+        "from random import randrange\n"
+        "draw = randrange\n"
+        "x = random_draws(random.Random(1), [3])\n"
+        "y = 'randrange'\n"
+    )
+    assert rng_draws(probe) == [6, 7, 8, 9]
 
 
 def unused_functions(shared, paths):
