@@ -94,7 +94,6 @@ from .design import (
     fixed_point_profile,
     frame_potential,
     haar_frame_potential,
-    orbit_count,
     orbit_decomposition,
     parity_frame_potential,
     quotient_action,

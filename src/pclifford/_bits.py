@@ -30,11 +30,14 @@ to 50 times slower on them.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import xor
 
 
+# bounded, as a string may have any length: at 8192 labels the division
+# costs about 3 us, and a Pauli-basis string operation asks about 30 times
+@lru_cache(maxsize=64)
 def pair_mask(n: int) -> int:
     """Ones at the low bit of each adjacent pair, entry indices 2, 4, ...
 
@@ -111,24 +114,33 @@ def gather(rows, x: int, n: int) -> int:
     return acc
 
 
+def span_table(vecs) -> list[int]:
+    """Entry i: the XOR of the vecs that the set bits of i select, the
+    first vector at bit 0; built by doubling, where a zero vector only
+    copies.  The image of every label under the map whose columns are
+    vecs."""
+    table = [0]
+    for g in vecs:
+        table += [x ^ g for x in table] if g else table
+    return table
+
+
 def product(a_rows, b_rows, n: int) -> list[int]:
     """A B on packed rows, B with n rows: the method of Four Russians
     (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
 
     The rows of A are rendered once as big-endian bytes, each n bits wide
     after 8 * nb - n leading zeros.  Byte column c then selects from the
-    8 rows of B below it (the padding rows are zero), so one table of the
-    256 XORs of those rows, built by doubling (a zero row only copies),
-    serves byte c of every row of A.  Only one table is alive at a time.
+    8 rows of B below it (the padding rows are zero), so one span_table
+    of those rows serves byte c of every row of A.  Only one table is
+    alive at a time.
     """
     nb = (n + 7) // 8
     text = b"".join([r.to_bytes(nb, "big") for r in a_rows])
     padded = [0] * (8 * nb - n) + list(b_rows)
     out = [0] * len(a_rows)
     for c in range(nb):
-        table = [0]
-        for g in reversed(padded[8 * c : 8 * c + 8]):  # byte bit 0 first
-            table += [x ^ g for x in table] if g else table
+        table = span_table(reversed(padded[8 * c : 8 * c + 8]))  # byte bit 0 first
         out = list(map(xor, out, map(table.__getitem__, text[c::nb])))
     return out
 

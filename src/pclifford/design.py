@@ -62,9 +62,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from ._bits import eta_swap, gather, row_parities
+from ._bits import eta_swap, gather, row_parities, span_table
 from .f2core import BitMatrix, rank_ints
 from .group import (
     OrthogonalMap,
@@ -83,7 +84,6 @@ __all__ = [
     "frame_potential",
     "parity_frame_potential",
     "haar_frame_potential",
-    "orbit_count",
     "orbit_decomposition",
     "quotient_action",
 ]
@@ -348,52 +348,66 @@ def haar_frame_potential(t: int, N: int) -> int:
 _TUPLE_BITS = 16  # at most 2^16 tuples, and a tuple order of at most 16
 
 
-def _orbit_generators(group: str, dim: int) -> list[tuple[int, int]]:
-    """Rank-one pairs (u, h), p -> p + (u^T p) h, that generate the group
-    orbit_decomposition acts with; its docstring says why they do."""
+# orbit_decomposition asks only below the tuple cap, at most 26 (group, dim)
+@lru_cache(maxsize=None)
+def _orbit_generators(group: str, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The generators orbit_decomposition acts with, each as its columns:
+    entry b is the image of the label 1 << b.  Its docstring says why
+    they generate the group."""
     if group == "symplectic":
-        # x_k, z_k and z_k + z_(k+1): the last stops at the last pair
-        vecs = [v << k for k in range(0, dim, 2) for v in (2, 1, 5) if v << k >> dim == 0]
-        return [(eta_swap(a, dim), a) for a in vecs]
-    # adjacent transpositions h_(e_i + e_(i+1)), and h_1111 past 3 labels
-    vecs = [3 << i for i in range(dim - 1)]
-    if dim >= 4:
-        vecs.append(15 << (dim - 4))
-    return [(a, a) for a in vecs]
+        # T_a = (eta a, a) for x_1, z_1 and z_1 + z_2; the shift moves one pair
+        pairs = [(eta_swap(a, dim), a) for a in (2, 1, 5) if a >> dim == 0]
+        step = 2
+    else:
+        # h_a = (a, a) for e_1 + e_2 and, past 3 labels, 1111; the shift: one label
+        pairs = [(a, a) for a in (3, 15) if a >> dim == 0]
+        step = 1
+    # the rank-one pair (u, h) maps p to p + (u^T p) h
+    gens = [tuple((1 << b) ^ (h if u >> b & 1 else 0) for b in range(dim)) for u, h in pairs]
+    if dim > 2:  # the cycle: at 2 labels it is the identity or tau itself
+        gens.append(tuple(1 << (b + step) % dim for b in range(dim)))
+    return tuple(gens)
 
 
 def orbit_decomposition(
     dim: int, tuple_order: int, group: str, space: str = "full"
 ) -> list[int]:
-    """Sorted orbit sizes of the generator closure on (space)^tuple_order.
+    """Sorted orbit sizes of the group on (space)^tuple_order.
 
-    A generator is a rank-one pair (u, h) acting as p -> p + (u^T p) h,
-    the convention of _bits.rank_one.  The orthogonal group is the
-    closure of the weight-2/4 reflections h_a = (a, a), the symplectic
-    group that of all nonzero transvections T_a = (eta a, a).  The
-    symplectic group does not act on the even quotient (transvections
-    move the all-ones vector), so that combination is rejected.
+    The orthogonal group is the closure of the weight-2/4 reflections
+    h_a = I + a a^T, the symplectic group that of all nonzero
+    transvections T_a = I + a (eta a)^T.  The even quotient is the even
+    labels modulo the all-ones vector j; the symplectic group does not
+    act on it (transvections move j), so that combination is rejected.
 
-    The orbits depend only on the closure, so a small generating set of
-    it serves.  O(N) takes the N - 1 adjacent transpositions h_(e_i +
-    e_(i+1)) and, for N >= 4, h_1111 on the last four labels: h_(e_i +
-    e_j) is the transposition (i j), so the transpositions give every
-    permutation P, and P h_a P^-1 = h_(Pa) makes every weight-4
-    reflection a conjugate of the one kept.  Sp(dim) takes the
-    transvections of x_k, z_k and z_k + z_(k+1), 3 dim / 2 - 1 in all:
-    their closure is transitive on the nonzero labels and
-    g T_a g^-1 = T_(ga), so it holds every transvection.  The tests
-    certify both sets by closure size and transitivity.
+    The orbits depend only on the group, so a generating set of constant
+    size serves.  O(N) takes tau = h_(e_1 + e_2), the N-cycle sigma of
+    the labels and, for N >= 4, h_1111: sigma^m tau sigma^-m is the
+    adjacent transposition h_(e_(m+1) + e_(m+2)), the transpositions
+    give every permutation P, and P h_a P^-1 = h_(Pa) makes every
+    weight-4 reflection a conjugate of h_1111.  Sp(2n) takes the
+    transvections of x_1, z_1 and z_1 + z_2 and, for n >= 2, the cyclic
+    shift c of the n qubit pairs, symplectic since it permutes the
+    pairs: c^m T_a c^-m = T_(c^m a) gives x_k, z_k and z_k + z_(k+1)
+    for every k, whose closure is transitive on the nonzero labels, and
+    g T_a g^-1 = T_(ga) then gives every transvection.  So O(N) needs at
+    most 3 generators and Sp(2n) at most 4; the tests certify both sets
+    by closure size and by these conjugates.
 
-    Each generator permutes the tuples, so an orbit is what a search
-    along the generator images reaches from any one of its tuples; a
-    bytearray marks the tuples seen, and the images of each generator
-    are one array of tuple indices.
+    A point is an index: in the full space the label itself; in the even
+    quotient the low dim - 2 bits of the one label of its class with
+    bit dim - 1 clear (bit dim - 2 is then their parity).  A generator
+    is linear on the points, so its image of every point comes from its
+    columns by doubling (_bits.span_table); in the quotient column k is
+    the image of the label with bits k and dim - 2, read back as a point.  Each generator permutes the tuples, so an
+    orbit is what a search along the generator images reaches from any
+    one of its tuples; a bytearray marks the tuples seen, and the images
+    of each generator are one array of tuple indices.
 
     One limit bounds the work, and a request beyond it raises
     ValueError before anything is enumerated: at most 2^16 tuples and a
-    tuple order of at most 16.  With at most 3 dim / 2 generators that
-    is about 2^21 steps of the search.
+    tuple order of at most 16.  With at most 4 generators that is at
+    most 2^18 steps of the search.
     """
     level_bits(group, dim)  # validates group and dim
     if tuple_order < 1:
@@ -411,19 +425,18 @@ def orbit_decomposition(
     if group == "symplectic" and space == "even_quotient":
         raise ValueError("the symplectic group does not act on the even quotient")
     j = (1 << dim) - 1
-    # the even quotient: one point per pair {v, v + j} of even labels
-    points = [
-        v for v in range(1 << dim)
-        if space == "full" or (v.bit_count() % 2 == 0 and v <= v ^ j)
-    ]
-    npts = len(points)
+    npts = 1 << bits
     total = npts**tuple_order
-    pos = {p: i for i, p in enumerate(points)}
-    if space == "even_quotient":
-        pos.update({p ^ j: i for i, p in enumerate(points)})
     images = []
-    for u, h in _orbit_generators(group, dim):
-        img = [pos[p ^ (h if (u & p).bit_count() & 1 else 0)] for p in points]
+    for cols in _orbit_generators(group, dim):
+        if space == "even_quotient":
+            # the image of the label with bits k and dim - 2; adding j
+            # clears bit dim - 1, and the low bits are its point
+            cols = [
+                (v ^ j if v >> (dim - 1) else v) & (npts - 1)
+                for v in (c ^ cols[-2] for c in cols[:-2])
+            ]
+        img = span_table(cols)  # the image of each point
         # tuple index: the first position is the least significant digit
         timg = img
         for _ in range(tuple_order - 1):
@@ -444,10 +457,6 @@ def orbit_decomposition(
         sizes.append(len(orbit))
         start = seen.find(0, start + 1)
     return sorted(sizes)
-
-
-def orbit_count(dim: int, tuple_order: int, group: str, space: str = "full") -> int:
-    return len(orbit_decomposition(dim, tuple_order, group, space))
 
 
 # ---------------------------------------------------------------------------

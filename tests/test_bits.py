@@ -22,6 +22,7 @@ from pclifford._bits import (
     prefix_parity,
     product,
     rank_one,
+    span_table,
     symp_pauli,
 )
 from pclifford.f2core import BitMatrix, BitVec, make_form, symp_product
@@ -160,6 +161,16 @@ def test_pair_mask_every_length():
         hi, lo = ref_masks(n)
         assert pair_mask(n) == lo
         assert pair_mask(n) << 1 == hi
+
+
+def test_pair_mask_cache_matches_the_formula_and_stays_bounded():
+    pair_mask.cache_clear()
+    for n in [*range(1, 71), 8192]:
+        for _ in range(2):  # the computed mask, then the cached one
+            assert pair_mask(n) == ((1 << (n - n % 2)) - 1) // 3
+    info = pair_mask.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+    assert info.hits == 71
 
 
 @given(lengths, seeds)
@@ -379,6 +390,17 @@ def test_product_matches_gather_loop_and_dense(shape, seed):
     assert got == ref_product(a, b, k)
     A, B = BitMatrix(r, k, tuple(a)), BitMatrix(k, c, tuple(b))
     assert tuple(got) == packed((dense(A) @ dense(B)) % 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_table_xors_the_selected_vectors(seed):
+    rng = random.Random(seed)
+    vecs = [rng.choice([0, rng.getrandbits(70)]) for _ in range(7)]
+    table = span_table(iter(vecs))
+    assert len(table) == 1 << len(vecs)
+    for i, x in enumerate(table):
+        picked = itertools.compress(vecs, map(int, f"{i:07b}"[::-1]))  # bit 0 first
+        assert x == functools.reduce(operator.xor, picked, 0)
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65])

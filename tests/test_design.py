@@ -8,6 +8,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -29,7 +31,6 @@ from pclifford.design import (
     fixed_point_profile,
     frame_potential,
     haar_frame_potential,
-    orbit_count,
     orbit_decomposition,
     parity_frame_potential,
     quotient_action,
@@ -178,7 +179,7 @@ class TestFramePotential:
         # average of f(S)^(t-1) counts orbits on (t-1)-tuples
         for t in (2, 3):
             val = frame_potential("orthogonal", 4, t).value
-            assert val == orbit_count(4, t - 1, "orthogonal")
+            assert val == len(orbit_decomposition(4, t - 1, "orthogonal"))
 
     def test_json_monte_carlo(self):
         rep = parity_frame_potential(4, 2, mode="monte_carlo", seed=3, samples=50)
@@ -367,6 +368,16 @@ def ref_orbit_decomposition(
     return sorted(Counter(map(find, range(total))).values())
 
 
+def map_label(cols, p: int) -> int:
+    """The image of label p under the map whose columns are cols."""
+    return reduce(xor, (c for b, c in enumerate(cols) if p >> b & 1), 0)
+
+
+def compose(a, b) -> tuple:
+    """a after b, both as columns."""
+    return tuple(map_label(a, c) for c in b)
+
+
 def _reference_cases():
     """Every request the reference answers, up to the cost of its O(8)
     pairs, about a second: generators x tuples at most 98 x 2^16."""
@@ -390,7 +401,7 @@ class TestOrbits:
     def test_orthogonal_4_orbits(self):
         sizes = orbit_decomposition(4, 1, "orthogonal")
         assert sizes == [1, 1, 6, 8]
-        assert orbit_count(4, 1, "orthogonal") == 4
+        assert len(orbit_decomposition(4, 1, "orthogonal")) == 4
 
     def test_orbit_classes_are_parity_classes(self):
         # {0}, {j}, middle evens, odds
@@ -474,15 +485,57 @@ class TestOrbits:
         """Each generator preserves the form, so a closure of the group's
         order is the group."""
         identity = tuple(1 << i for i in range(dim))  # the images of the basis
+        gens = _orbit_generators(group, dim)
+        tables = [[map_label(cols, p) for p in range(1 << dim)] for cols in gens]
         closure, stack = {identity}, [identity]
         while stack:
             images = stack.pop()
-            for u, h in _orbit_generators(group, dim):
-                out = tuple(p ^ (h if (u & p).bit_count() & 1 else 0) for p in images)
+            for table in tables:
+                out = tuple(table[p] for p in images)
                 if out not in closure:
                     closure.add(out)
                     stack.append(out)
         assert len(closure) == group_order(group, dim)
+
+    @pytest.mark.parametrize(
+        "group, dim",
+        [("orthogonal", dim) for dim in range(1, 19)]
+        + [("symplectic", dim) for dim in range(2, 17, 2)],
+    )
+    def test_generators_preserve_the_form_and_conjugate_to_the_linear_size_set(self, group, dim):
+        """Every size up to the tuple cap: each generator preserves the
+        form, and each generator of the linear-size set (adjacent
+        transpositions and h_1111; transvections of x_k, z_k and
+        z_k + z_(k+1)) is a cycle-power conjugate of one of them."""
+        gens = _orbit_generators(group, dim)
+        if group == "orthogonal":
+            assert len(gens) <= 3
+            form = lambda a, b: (a & b).bit_count() & 1
+            vecs = [3 << i for i in range(dim - 1)] + [15 << dim >> 4] * (dim >= 4)
+            linear = [(a, a) for a in vecs]
+            step = 1
+        else:
+            assert len(gens) <= 4
+            form = lambda a, b: (a & eta_swap(b, dim)).bit_count() & 1
+            vecs = [v << k for k in range(0, dim, 2) for v in (2, 1, 5) if v << k >> dim == 0]
+            linear = [(eta_swap(a, dim), a) for a in vecs]
+            step = 2
+        for cols in gens:
+            assert len(cols) == dim
+            for a, b in itertools.product(range(dim), repeat=2):
+                assert form(cols[a], cols[b]) == form(1 << a, 1 << b), (cols, a, b)
+        identity = tuple(1 << b for b in range(dim))
+        cycle = tuple(1 << (b + step) % dim for b in range(dim))
+        assert cycle in gens or cycle == identity
+        powers = [identity]  # cycle^m for m = 0 .. order - 1
+        while compose(cycle, powers[-1]) != identity:
+            powers.append(compose(cycle, powers[-1]))
+        conjugates = {
+            compose(compose(powers[m], g), powers[-m]) for m in range(len(powers)) for g in gens
+        }
+        for u, h in linear:
+            rank_one = tuple((1 << b) ^ (h if u >> b & 1 else 0) for b in range(dim))
+            assert rank_one in conjugates, (u, h)
 
     @pytest.mark.parametrize(
         "n, k",
