@@ -36,7 +36,6 @@ from .f2core import (
     rref_ints,
     solve_affine,
     symp_product,
-    weight_parity,
 )
 from .strings import (
     BASES,
@@ -57,7 +56,6 @@ from .group import (
     apply_householder,
     braid_action,
     decompose_orthogonal,
-    find_householders,
     format_braid_word,
     group_order,
     group_rows,
@@ -71,7 +69,6 @@ from .group import (
     sample_orthogonal_random,
     sample_symplectic,
     sample_symplectic_random,
-    transvection_apply,
     word_orthogonal,
 )
 from .stabilizer import (

@@ -25,20 +25,28 @@ restricted rank writes its augmented bit into bit 0.
 A level is split in two.  One vector function per group computes the
 level's vectors from its picks: the reflections (a, b) for O(N), the
 four transvections as rows (eta h, h) for Sp, zero where fewer are
-needed.  One apply step, shared by random batches, which run every
-level on one array, and by exact_histogram, which walks the group as a
-tree of shared prefixes, then makes the level's rank-one updates, one
-_rank_one call each, so no update's temporaries outlive it.  The
-vectors depend on the group, the level k and the picks, never on dim,
-so in a random batch a level of at most 4096 picks reads them from a
-table of the vector function on every pick, with one fancy index.  The
-tables are memoized for the process: O(N) levels k <= 13 and Sp levels
-k <= 6, 15 tables and about 270 kB in all.  Larger levels compute their
-vectors per batch, and the tree computes each level's vectors on every
-pick once per walk.  Both steps take the levels, the entries each reads
-and their radices from group.levels and group.level_sizes, and the
-vector function from a table keyed by kind, so nothing here branches on
-the kind of group.
+needed.  One apply step, shared by random batches, which run the levels
+on one array, and by exact_histogram, which walks the group as a tree
+of shared prefixes, then makes the level's rank-one updates, one
+_rank_one call each, so no update's temporaries outlive it.
+
+A random batch reads its small levels from tables memoized for the
+process, each at most _TABLE_PICKS = 4096 columns.  Levels 2..m build
+the group of m labels on the bottom m rows, whatever dim is; where that
+group has at most 4096 elements, one index into a table of all of them
+replaces those levels.  The table is the exact tree's output, level 2
+varying slowest and within a level the first entry, so the index is the
+picks of levels 2..m in mixed radix.  These are O(5) and Sp(4), 720
+elements each, 28.8 kB and 23 kB; a smaller group is read whole.  Above
+m, the vectors depend on the group, the level k and the picks, never on
+dim, so a level of at most 4096 picks reads them from a table of the
+vector function on every pick, with one fancy index: O(N) levels
+6..13 and Sp level 6, 9 tables and about 260 kB.  Larger levels compute
+their vectors per batch, and the tree computes each level's vectors on
+every pick once per walk.  Both steps take the levels, the entries each
+reads and their radices from group.levels and group.level_sizes, and
+the vector function from a table keyed by kind, so nothing here
+branches on the kind of group.
 
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
@@ -48,20 +56,22 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
 from ._bits import eta_swap
-from .group import level_sizes, levels, random_draws
+from .group import group_order, level_sizes, levels, random_draws
 
 __all__ = ["random_picks", "exponents", "exact_histogram"]
 
 # elements per array of the exact tree: larger arrays pay numpy's call
 # overhead less often, smaller ones stay in cache; 2048 measured best
 _CHUNK = 2048
-# a level with at most this many picks reads its vectors from a table of
-# every pick: O(N) levels k <= 13 and Sp levels k <= 6, 15 tables and about
-# 270 kB in all
+# the bottom levels whose group has at most this many elements read one
+# table of that group (O(5), Sp(4)); a level above them with at most this
+# many picks reads its vectors from a table of every pick (O(N) levels
+# 6..13, Sp level 6); 0 turns every table off
 _TABLE_PICKS = 4096
 
 
@@ -82,7 +92,15 @@ def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
     # entry i of every pick list in one contiguous row, as the rows
     picks = np.ascontiguousarray(np.asarray(picks, dtype=np.uint64).T)
     rows = np.repeat(_identity(dim), picks.shape[1], axis=1)
-    for k, entries in table:
+    # levels 2..m, whose group has at most _TABLE_PICKS elements, are one
+    # column of its table: their entries as one index, level 2 slowest
+    low = list(takewhile(lambda level: group_order(kind, level[0]) <= _TABLE_PICKS, table))
+    if low:
+        m = low[-1][0]
+        entries = [e for _, level_entries in low for e in level_entries]
+        index = _mixed_radix([picks[e] for e in entries], [sizes[e] for e in entries])
+        rows[dim - m :] = _subgroup_table(kind, m)[:, index]
+    for k, entries in table[len(low) :]:
         radices = tuple(sizes[e] for e in entries)
         _apply(rows[dim - k :], *_level_vectors(kind, k, radices, [picks[e] for e in entries]))
     return rows
@@ -289,12 +307,25 @@ def _level_vectors(kind: str, k: int, radices: tuple[int, ...], picks) -> tuple[
     has at most _TABLE_PICKS picks, else computed."""
     if math.prod(radices) > _TABLE_PICKS:
         return _VECTORS[kind](k, *picks)
-    # the picks as one mixed-radix index, the first entry most significant
+    vectors, layout = _level_table(kind, k, radices)
+    return vectors[:, _mixed_radix(picks, radices)], layout
+
+
+def _mixed_radix(picks, radices) -> np.ndarray:
+    """The picks as one mixed-radix index, the first entry most significant."""
     index = picks[0]
     for p, r in zip(picks[1:], radices[1:]):
         index = index * r + p
-    vectors, layout = _level_table(kind, k, radices)
-    return vectors[:, index], layout
+    return index
+
+
+@lru_cache(maxsize=None)
+def _subgroup_table(kind: str, m: int) -> np.ndarray:
+    """Every element of the group of levels 2..m, as (m, order) rows in the
+    order of the exact tree, read-only: at most _TABLE_PICKS columns."""
+    table = np.concatenate(list(_every_element(kind, m)), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _apply(level: np.ndarray, vectors: np.ndarray, layout: tuple) -> None:

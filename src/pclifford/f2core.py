@@ -32,7 +32,6 @@ __all__ = [
     "AffineSolution",
     "make_form",
     "complement",
-    "weight_parity",
     "dot",
     "symp_product",
     "solve_affine",
@@ -178,11 +177,6 @@ def dot(v: BitVec, w: BitVec) -> int:
     if v.n != w.n:
         raise ValueError("length mismatch")
     return (v.bits & w.bits).bit_count() & 1
-
-
-def weight_parity(v: BitVec) -> tuple[int, int]:
-    w = v.bits.bit_count()
-    return w, w & 1
 
 
 def complement(a):

@@ -60,9 +60,7 @@ __all__ = [
     "SymplecticMap",
     "CliffordWord",
     "apply_householder",
-    "transvection_apply",
     "braid_action",
-    "find_householders",
     "sample_orthogonal",
     "sample_orthogonal_random",
     "sample_symplectic",
@@ -177,14 +175,6 @@ def apply_householder(a: BitVec, v: BitVec) -> BitVec:
     return BitVec(v.n, v.bits ^ (a.bits if dot(a, v) else 0))
 
 
-def transvection_apply(a: BitVec, v: BitVec, basis: str = "majorana") -> BitVec:
-    """v + <a, v> a; coincides with apply_householder for even a in the
-    majorana basis."""
-    if a.n != v.n:
-        raise ValueError("length mismatch")
-    return BitVec(v.n, v.bits ^ (a.bits if symp_product(a, v, basis) else 0))
-
-
 def braid_action(a: BitVec, s: MajoranaString, allow_odd: bool = False) -> MajoranaString:
     """Conjugation of a string by the braid B(a), phase included.
 
@@ -199,28 +189,6 @@ def braid_action(a: BitVec, s: MajoranaString, allow_odd: bool = False) -> Major
         return s
     phase = (s.phase + 1 + zeta_coeff(a, s.v, s.basis)) % 4
     return MajoranaString(phase, a ^ s.v, s.basis)
-
-
-# ---------------------------------------------------------------------------
-# reflections between vectors
-
-
-def find_householders(v: BitVec, w: BitVec) -> tuple[BitVec, BitVec]:
-    """At most two reflections mapping v to w; b may be zero.
-
-    Preconditions: equal lengths and parities; neither vector is zero
-    or all-ones.
-    """
-    if v.n != w.n:
-        raise ValueError("length mismatch")
-    if v.parity != w.parity:
-        raise ValueError("parities differ")
-    full = (1 << v.n) - 1
-    for x in (v, w):
-        if x.bits == 0 or x.bits == full:
-            raise ValueError("zero and all-ones vectors are not connectable")
-    a, b = householder_pair(v.bits, w.bits, v.n)
-    return BitVec(v.n, a), BitVec(v.n, b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ group_rows_batch must equal group_rows on every pick list, rank_batch
 must equal rank_ints, and the exponents of a chunk must equal _exponent
 element by element.  The prefix tree of exact mode must give every
 element of the group once, and its histogram the counts of the scalar
-exponents.  Each level table must be its vector function on every pick,
+exponents.  Each subgroup table must be group_rows of every pick list in
+its index order, each level table its vector function on every pick,
 and group.random_draws must draw what rng.randrange draws, to the final
 state of the rng.  Dimension 64 is the edge of the uint64 rows; the
 restricted rank writes its augmented bit into bit 0, so no row needs a
@@ -129,10 +130,13 @@ def test_tables_cover_the_small_levels_in_about_270_kb():
     batch._level_table.cache_clear()
     for kind, dim in (("orthogonal", 64), ("symplectic", 64)):
         group_rows_batch(kind, dim, seeded_pick_lists(kind, dim, 3, seed=dim))
-    assert batch._level_table.cache_info().currsize == len(levels_found) == 15
+    # the subgroup tables cover O(N) levels 2-5 and Sp levels 2-4: the
+    # batches build O(N) levels 6-13 and Sp level 6
+    assert batch._level_table.cache_info().currsize == 9
+    assert len(levels_found) == 15
     tables = [batch._level_table(*level)[0] for level in levels_found]
     assert sum(t.nbytes for t in tables) < 300_000
-    assert batch._level_table.cache_info().currsize == 15  # those were cache hits
+    assert batch._level_table.cache_info().currsize == 15  # the other 6 were built here
 
 
 @pytest.mark.parametrize("kind, k, radices", tabulated_levels())
@@ -156,6 +160,49 @@ def test_level_table_is_the_vector_function_on_every_pick(kind, k, radices):
         group._LEVEL[kind](rows, k, *p)
         want.append(rows)
     assert level.T.tolist() == want
+
+
+# the groups of at most _TABLE_PICKS elements: O(1..5), Sp(2), Sp(4)
+SUBGROUPS = [
+    (kind, m)
+    for kind, dims in (("orthogonal", range(1, 7)), ("symplectic", range(2, 7, 2)))
+    for m in dims
+    if group_order(kind, m) <= batch._TABLE_PICKS
+]
+
+
+@pytest.mark.parametrize("kind, m", SUBGROUPS)
+def test_subgroup_table_is_group_rows_in_index_order(kind, m):
+    """Column c of a subgroup table is group_rows of the pick list whose
+    entries, in levels order (level 2 slowest), read c in mixed radix."""
+    batch._subgroup_table.cache_clear()
+    table = batch._subgroup_table(kind, m)
+    assert not table.flags.writeable
+    sizes = level_sizes(kind, m)
+    entries = [e for _, level_entries in levels(kind, m) for e in level_entries]
+    want = []
+    for digits in itertools.product(*(range(sizes[e]) for e in entries)):
+        picks = [0] * len(sizes)
+        for e, d in zip(entries, digits):
+            picks[e] = d
+        want.append(group_rows(kind, m, picks))
+    assert len(want) == group_order(kind, m)
+    assert table.T.tolist() == want
+
+
+def test_random_batches_build_the_two_subgroup_tables_in_64_kb():
+    assert SUBGROUPS == [("orthogonal", m) for m in range(1, 6)] + [
+        ("symplectic", 2),
+        ("symplectic", 4),
+    ]
+    batch._subgroup_table.cache_clear()
+    for kind, dim in (("orthogonal", 64), ("symplectic", 64)):
+        group_rows_batch(kind, dim, seeded_pick_lists(kind, dim, 3, seed=dim))
+    assert batch._subgroup_table.cache_info().currsize == 2
+    tables = [batch._subgroup_table("orthogonal", 5), batch._subgroup_table("symplectic", 4)]
+    assert batch._subgroup_table.cache_info().currsize == 2  # those were cache hits
+    assert [t.shape for t in tables] == [(5, 720), (4, 720)]
+    assert sum(t.nbytes for t in tables) < 64_000
 
 
 def test_batch_rows_take_the_extreme_picks():

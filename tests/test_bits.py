@@ -15,6 +15,7 @@ from pclifford import _bits
 from pclifford._bits import (
     eta_swap,
     gather,
+    householder_pair,
     jw_col,
     jw_conjugate,
     jw_row,
@@ -263,6 +264,42 @@ def test_transvection_matches_loop(n, seed, zero):
     ref_apply_transvection_rows(want, h, n)
     rank_one(got, eta_swap(h, n), h, n)
     assert got == want
+
+
+def reflect(a, v):
+    """h_a v = v + (a^T v) a on a packed vector; h_0 is the identity."""
+    return v ^ (a if (a & v).bit_count() & 1 else 0)
+
+
+def test_householder_pair_of_equal_vectors():
+    assert householder_pair(0b1010, 0b1010, 4) == (0, 0)
+
+
+def test_householder_pair_single_reflection_branch():
+    # v^T w = 1 - p(v): the one reflection v + w
+    assert householder_pair(0b100, 0b010, 3) == (0b110, 0)
+
+
+def test_householder_pair_disjoint_branch():
+    # v and w share no zero: a joins the top bit only v has and the top
+    # bit only w has
+    a, b = householder_pair(0b111100, 0b001111, 6)
+    assert (a, b) == (0b100010, 0b010001)
+    assert reflect(b, reflect(a, 0b111100)) == 0b001111
+
+
+def test_householder_pair_routes_every_pair_both_ways():
+    """Every pair of equal parity at n = 2..6, neither zero nor all-ones."""
+    for n in range(2, 7):
+        full = (1 << n) - 1
+        for v, w in itertools.product(range(1, full), repeat=2):
+            if (v.bit_count() ^ w.bit_count()) & 1:
+                continue
+            a, b = householder_pair(v, w, n)
+            assert a.bit_count() % 2 == 0 and b.bit_count() % 2 == 0
+            assert reflect(b, reflect(a, v)) == w
+            # the same pair routes the reverse direction
+            assert reflect(b, reflect(a, w)) == v
 
 
 SELECTORS = (

@@ -19,7 +19,6 @@ from pclifford.f2core import (
     rref_ints,
     solve_affine,
     symp_product,
-    weight_parity,
 )
 
 
@@ -73,13 +72,6 @@ class TestBitVec:
             BitVec.from_string("10a1")
         with pytest.raises(ValueError):
             BitVec.from_indices(3, [4])
-
-    def test_weight_parity(self):
-        assert weight_parity(bv("1100")) == (2, 0)
-        assert weight_parity(bv("1110")) == (3, 1)
-        for n in (1, 2, 3, 5):
-            j = make_form("all_ones", 2 * n)
-            assert weight_parity(j) == (2 * n, 0)
 
     @given(even_pairs())
     def test_xor_is_addition(self, pair):

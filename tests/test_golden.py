@@ -296,6 +296,34 @@ def test_monte_carlo_sums_in_sample_order(seed):
     assert (repr(rep.estimate), repr(rep.std_error)) == MC_LARGE[seed]
 
 
+# Monte Carlo on both sides of each table boundary of batch: the subgroup
+# tables (O(5)/O(6), Sp(4)/Sp(6)), the level tables (O(13)/O(14),
+# Sp(6)/Sp(8)) and the uint64 rows (64 labels); taken before the subgroup
+# tables were added
+MC_GRID = "3f257e6f6f1fe9a8ea488be5badb8426de50578bfed902c79e5a961f5dbda6c2"
+
+
+def _monte_carlo_grid():
+    """(estimate, std_error) at t = 3 for seeds 1-3 of each group, each
+    even O(N) unrestricted and then restricted."""
+    grid = (("orthogonal", (2, 3, 4, 5, 6, 7, 8, 13, 14, 64)), ("symplectic", (2, 4, 6, 8, 64)))
+    for kind, dims in grid:
+        for dim in dims:
+            kw = dict(mode="monte_carlo", samples=300 if dim == 64 else 3000)
+            for restricted in (False, True) if kind == "orthogonal" and dim % 2 == 0 else (False,):
+                for seed in (1, 2, 3):
+                    if restricted:
+                        rep = parity_frame_potential(dim, 3, seed=seed, **kw)
+                    else:
+                        rep = frame_potential(kind, dim, 3, seed=seed, **kw)
+                    yield rep.estimate, rep.std_error
+
+
+def test_monte_carlo_grid_digest():
+    text = "".join(repr(item) for item in _monte_carlo_grid())
+    assert hashlib.sha256(text.encode()).hexdigest() == MC_GRID
+
+
 # every orbit case of perfbench/workloads.py: {orbit size: multiplicity}
 ORBIT_SIZES = {
     ("orthogonal", 4, "full", 1): {1: 2, 6: 1, 8: 1},

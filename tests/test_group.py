@@ -16,7 +16,6 @@ from pclifford.group import (
     apply_householder,
     braid_action,
     decompose_orthogonal,
-    find_householders,
     format_braid_word,
     group_order,
     parse_braid_word,
@@ -26,7 +25,6 @@ from pclifford.group import (
     sample_orthogonal_random,
     sample_symplectic,
     sample_symplectic_random,
-    transvection_apply,
     word_orthogonal,
 )
 
@@ -105,14 +103,6 @@ class TestHouseholder:
         with pytest.raises(ValueError):
             apply_householder(bv("100"), bv("010"))
 
-    @given(even_vectors(6), st.integers(0, 63))
-    def test_transvection_coincides_for_even(self, a, vbits):
-        v = BitVec(6, vbits)
-        assert transvection_apply(a, v) == apply_householder(a, v)
-
-    def test_transvection_pauli_example(self):
-        assert transvection_apply(bv("10"), bv("01"), "pauli") == bv("11")
-
     @given(even_vectors(8), even_vectors(8), st.integers(0, 255))
     @settings(max_examples=200)
     def test_reflection_braiding(self, a, b, vbits):
@@ -120,44 +110,6 @@ class TestHouseholder:
         v = BitVec(8, vbits)
         lhs = apply_householder(b, apply_householder(a, apply_householder(b, v)))
         assert lhs == apply_householder(apply_householder(b, a), v)
-
-
-class TestFindHouseholders:
-    def test_equal_vectors(self):
-        a, b = find_householders(bv("1010"), bv("1010"))
-        assert a.bits == 0 and b.bits == 0
-
-    def test_single_reflection_branch(self):
-        a, b = find_householders(bv("100"), bv("010"))
-        assert str(a) == "110" and b.bits == 0
-
-    def test_disjoint_branch(self):
-        a, b = find_householders(bv("111100"), bv("001111"))
-        assert str(a) == "100010" and str(b) == "010001"
-        got = apply_householder(b, apply_householder(a, bv("111100")))
-        assert got == bv("001111")
-
-    def test_exhaustive_small(self):
-        for n in range(2, 7):
-            full = (1 << n) - 1
-            for vb in range(1, full):
-                for wb in range(1, full):
-                    if vb.bit_count() % 2 != wb.bit_count() % 2:
-                        continue
-                    v, w = BitVec(n, vb), BitVec(n, wb)
-                    a, b = find_householders(v, w)
-                    assert a.parity == 0 and b.parity == 0
-                    assert apply_householder(b, apply_householder(a, v)) == w
-                    # the same pair routes the reverse direction
-                    assert apply_householder(b, apply_householder(a, w)) == v
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            find_householders(bv("10"), bv("11"))
-        with pytest.raises(ValueError):
-            find_householders(bv("00"), bv("00"))
-        with pytest.raises(ValueError):
-            find_householders(bv("11"), bv("11"))
 
 
 class TestGroupOrder:
