@@ -8,9 +8,8 @@ its orthogonal matrix and the exact checks.
 import argparse
 import random
 
-from pclifford.f2core import format_matrix
+from pclifford.f2core import dot, format_matrix
 from pclifford.group import (
-    apply_householder,
     format_braid_word,
     sample_orthogonal_random,
     word_orthogonal,
@@ -48,7 +47,8 @@ def run(n: int, r: int, seed: int) -> None:
     for e, b in zip(canonical_isotropic(target.n, target.r).basis, target.basis):
         x = e
         for a in reversed(word.gens):  # the rightmost reflection acts first
-            x = apply_householder(a, x)
+            if dot(a, x):  # h_a x = x + (a^T x) a
+                x ^= a
         assert x == b == encoder.m.mulvec(e)
     print("checks: word reproduces the encoder, encoder routes the canonical")
     print("subspace onto the target")

@@ -53,7 +53,6 @@ from .group import (
     CliffordWord,
     OrthogonalMap,
     SymplecticMap,
-    apply_householder,
     braid_action,
     decompose_orthogonal,
     format_braid_word,
@@ -63,7 +62,6 @@ from .group import (
     level_sizes,
     levels,
     parse_braid_word,
-    reduce_to_elementary,
     reflection_product,
     sample_orthogonal,
     sample_orthogonal_random,
@@ -83,7 +81,6 @@ from .stabilizer import (
     stabilizer_element,
     state_parity,
     transform_isotropic,
-    transform_stabilizer,
     validate_isotropic,
 )
 from .design import (

@@ -31,7 +31,6 @@ __all__ = [
     "dense_word",
     "stabilizer_projector_dense",
     "parity_restricted_trace_sq",
-    "reduce_to_subalgebra",
 ]
 
 DIM_CAP = 12  # largest 2n the oracle accepts
@@ -154,34 +153,3 @@ def parity_restricted_trace_sq(word) -> float:
     j = make_form("all_ones", n2)
     pplus = (np.eye(U.shape[0], dtype=complex) + dense_string(MajoranaString(0, j, "majorana"))) / 2
     return abs(np.trace(pplus @ U)) ** 2
-
-
-def reduce_to_subalgebra(O: np.ndarray, modes) -> np.ndarray:
-    """Project O onto the subalgebra of the chosen modes.
-
-    Coefficients come from the trace inner product against the embedded
-    strings; the result is reassembled in the 2**(|A|/2) representation
-    of the subalgebra, with modes relabeled in ascending order.
-    """
-    modes = sorted(modes)
-    if len(modes) % 2:
-        raise ValueError("mode subset must have even size")
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode index")
-    dim = O.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim or O.shape != (dim, dim):
-        raise ValueError("operator dimension is not a power of two")
-    n2 = 2 * n
-    _check_dim(n2)
-    if any(not 1 <= m <= n2 for m in modes):
-        raise ValueError("mode index out of range")
-    na2 = len(modes)
-    out = np.zeros((1 << (na2 // 2), 1 << (na2 // 2)), dtype=complex)
-    for labels in range(1 << na2):
-        va = BitVec(na2, labels)
-        full = BitVec.from_indices(n2, (modes[i - 1] for i in va.indices()))
-        coeff = np.trace(O @ dense_string(MajoranaString(0, full, "majorana"))) / dim
-        if abs(coeff) > 1e-14:
-            out = out + coeff * dense_string(MajoranaString(0, va, "majorana"))
-    return out

@@ -63,15 +63,6 @@ class BitVec:
             raise ValueError(f"not a bitstring: {text!r}")
         return cls(len(text), int(text, 2))
 
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} out of range 1..{n}")
-            bits |= 1 << (n - i)
-        return cls(n, bits)
-
     def get(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")

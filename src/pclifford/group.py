@@ -52,14 +52,13 @@ from ._bits import (
     symp_pauli,
     top_bit,
 )
-from .f2core import BitMatrix, BitVec, dot, symp_product
+from .f2core import BitMatrix, BitVec, symp_product
 from .strings import MajoranaString, parse_string, format_string, zeta_coeff
 
 __all__ = [
     "OrthogonalMap",
     "SymplecticMap",
     "CliffordWord",
-    "apply_householder",
     "braid_action",
     "sample_orthogonal",
     "sample_orthogonal_random",
@@ -74,7 +73,6 @@ __all__ = [
     "group_rows",
     "decompose_orthogonal",
     "reflection_product",
-    "reduce_to_elementary",
     "word_orthogonal",
     "parse_braid_word",
     "format_braid_word",
@@ -164,15 +162,6 @@ class CliffordWord:
 
 # ---------------------------------------------------------------------------
 # elementary actions
-
-
-def apply_householder(a: BitVec, v: BitVec) -> BitVec:
-    """h_a v = v + (a^T v) a; requires even-parity a."""
-    if a.n != v.n:
-        raise ValueError("length mismatch")
-    if a.parity:
-        raise ValueError("householder vector must have even parity")
-    return BitVec(v.n, v.bits ^ (a.bits if dot(a, v) else 0))
 
 
 def braid_action(a: BitVec, s: MajoranaString, allow_odd: bool = False) -> MajoranaString:
@@ -451,31 +440,6 @@ def word_orthogonal(word: CliffordWord) -> OrthogonalMap:
     appear here.
     """
     return OrthogonalMap(reflection_product(word.gens, 2 * word.n))
-
-
-def reduce_to_elementary(a: BitVec) -> list[BitVec]:
-    """Expand h_a into weight-2/4 reflections via h_b h_x h_b = h_{h_b x}.
-
-    The returned word multiplies out to h_a exactly; its length is
-    weight(a) - 3 for weights above 4.
-    """
-    if a.parity:
-        raise ValueError("householder vector must have even parity")
-    full = (1 << a.n) - 1
-    if a.bits == 0 or a.bits == full:
-        raise ValueError("zero and all-ones vectors are excluded")
-
-    # each step b is the top three bits and the lowest zero: it takes 2 from
-    # the weight, and the word is the steps, the weight-2/4 core, the steps back
-    bits, steps = a.bits, []
-    while bits.bit_count() not in (2, 4):
-        x = bits
-        for _ in range(3):
-            x ^= top_bit(x)
-        clear = ~bits & full
-        steps.append((bits ^ x) | (clear & -clear))
-        bits ^= steps[-1]
-    return [BitVec(a.n, b) for b in steps + [bits] + steps[::-1]]
 
 
 # ---------------------------------------------------------------------------

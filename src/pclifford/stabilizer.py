@@ -32,7 +32,6 @@ __all__ = [
     "logical_generators",
     "state_parity",
     "transform_isotropic",
-    "transform_stabilizer",
     "parse_stabilizer",
     "format_stabilizer",
 ]
@@ -252,12 +251,6 @@ def transform_isotropic(S: OrthogonalMap, M: IsotropicSubspace) -> IsotropicSubs
     if S.dim != 2 * M.n:
         raise ValueError("dimension mismatch")
     return IsotropicSubspace(M.n, tuple(S.m.mulvec(b) for b in M.basis))
-
-
-def transform_stabilizer(S: OrthogonalMap, stab: Stabilizer) -> Stabilizer:
-    return Stabilizer(
-        transform_isotropic(S, stab.space), S.m.mulvec(stab.sign_vector)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from pclifford.dense import (
     dense_string,
     dense_word,
     parity_restricted_trace_sq,
-    reduce_to_subalgebra,
     stabilizer_projector_dense,
 )
 from pclifford.design import fixed_point_profile
@@ -311,43 +310,3 @@ class TestParityRestrictedTrace:
             prof = fixed_point_profile(word_orthogonal(word))
             allowed = (prof.f_plus + prof.c_plus) / 2
             assert min(abs(val), abs(val - allowed)) < 1e-9
-
-
-class TestReduceToSubalgebra:
-    def test_identity_reduces_to_identity(self):
-        out = reduce_to_subalgebra(np.eye(4, dtype=complex), [1, 2])
-        assert np.allclose(out, np.eye(2), atol=1e-12)
-
-    def test_supported_string_survives(self):
-        out = reduce_to_subalgebra(dense_string(mu("1100")), [1, 2])
-        assert np.allclose(out, dense_string(mu("11")), atol=1e-12)
-
-    def test_unsupported_string_vanishes(self):
-        out = reduce_to_subalgebra(dense_string(mu("0011")), [1, 2])
-        assert np.allclose(out, np.zeros((2, 2)), atol=1e-12)
-
-    def test_full_mode_set_reproduces(self):
-        rng = random.Random(13)
-        n2 = 4
-        O = np.zeros((4, 4), dtype=complex)
-        for _ in range(5):
-            O = O + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * dense_string(
-                MajoranaString(0, BitVec(n2, rng.randrange(1 << n2)))
-            )
-        assert np.allclose(reduce_to_subalgebra(O, [1, 2, 3, 4]), O, atol=1e-9)
-
-    def test_preserves_identity_coefficient(self):
-        rng = random.Random(14)
-        O = np.zeros((4, 4), dtype=complex)
-        for _ in range(6):
-            O = O + complex(rng.uniform(-1, 1), 0) * dense_string(
-                MajoranaString(0, BitVec(4, rng.randrange(16)))
-            )
-        red = reduce_to_subalgebra(O, [2, 3])
-        assert abs(np.trace(O) / 4 - np.trace(red) / 2) < 1e-9
-
-    def test_odd_subset_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_to_subalgebra(np.eye(4, dtype=complex), [1, 2, 3])
-        with pytest.raises(ValueError):
-            reduce_to_subalgebra(np.eye(4, dtype=complex), [1, 1])

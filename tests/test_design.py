@@ -552,6 +552,14 @@ class TestOrbits:
         assert orbit_decomposition(dim, k, group, space) == want
 
 
+def quotient_fibers(dim):
+    """{image: count} of quotient_action over every element of O(dim)."""
+    return Counter(
+        quotient_action(sample_orthogonal(dim, i)).m.data
+        for i in range(1, group_order("orthogonal", dim) + 1)
+    )
+
+
 class TestQuotientAction:
     def test_identity_maps_to_identity(self):
         out = quotient_action(OrthogonalMap(BitMatrix.identity(6)))
@@ -560,8 +568,8 @@ class TestQuotientAction:
 
     def test_homomorphism_random(self):
         rng = random.Random(7)
-        for _ in range(60):
-            dim = rng.choice([4, 6, 8])
+        dims = itertools.chain((rng.choice([4, 6, 8]) for _ in range(60)), [64, 256] * 3)
+        for dim in dims:
             A = sample_orthogonal_random(dim, rng)
             B = sample_orthogonal_random(dim, rng)
             lhs = quotient_action(OrthogonalMap(A.m.mul(B.m)))
@@ -569,12 +577,20 @@ class TestQuotientAction:
             assert lhs.m == rhs
 
     def test_surjective_with_uniform_fibers_dim_4(self):
-        images = {}
-        for i in range(1, 49):
-            img = quotient_action(sample_orthogonal(4, i)).m.data
-            images[img] = images.get(img, 0) + 1
-        assert len(images) == 6  # all of Sp(2)
-        assert set(images.values()) == {8}  # kernel size 2^(dim-1)
+        fibers = quotient_fibers(4)
+        assert len(fibers) == 6  # all of Sp(2)
+        assert set(fibers.values()) == {8}  # kernel size 2^(dim-1)
+
+    def test_surjective_with_uniform_fibers_dim_6(self):
+        fibers = quotient_fibers(6)
+        assert len(fibers) == group_order("symplectic", 4) == 720
+        assert set(fibers.values()) == {32}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_group_orders_give_the_fiber_size(self, n):
+        # onto Sp(2n - 2) with fibers of 2^(2n - 1): |O(2n)| = |Sp(2n - 2)| 2^(2n - 1)
+        sp = group_order("symplectic", 2 * n - 2)
+        assert group_order("orthogonal", 2 * n) == sp << (2 * n - 1)
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):

@@ -54,14 +54,17 @@ class TestBitVec:
 
     def test_index_convention_msb_first(self):
         # index 1 is the leftmost printed character
-        v = BitVec.from_indices(4, [1])
+        v = BitVec(4, 0b1000)
         assert str(v) == "1000"
         assert v.get(1) == 1 and v.get(4) == 0
 
-    def test_indices_inverse(self):
+    def test_indices_in_order(self):
         v = bv("01101")
         assert v.indices() == (2, 3, 5)
-        assert BitVec.from_indices(5, v.indices()) == v
+
+    def test_indices_of_zero_and_full(self):
+        assert BitVec(5, 0).indices() == ()
+        assert bv("11111").indices() == (1, 2, 3, 4, 5)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -70,8 +73,6 @@ class TestBitVec:
             BitVec(2, 4)
         with pytest.raises(ValueError):
             BitVec.from_string("10a1")
-        with pytest.raises(ValueError):
-            BitVec.from_indices(3, [4])
 
     @given(even_pairs())
     def test_xor_is_addition(self, pair):

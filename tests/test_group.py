@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclifford.f2core import BitMatrix, BitVec, make_form, parse_matrix
+from pclifford.f2core import BitMatrix, BitVec, dot, make_form, parse_matrix
 from pclifford.strings import MajoranaString
 from pclifford.dense import dense_braid, dense_string
 from pclifford.group import (
     CliffordWord,
     OrthogonalMap,
     SymplecticMap,
-    apply_householder,
     braid_action,
     decompose_orthogonal,
     format_braid_word,
     group_order,
     parse_braid_word,
-    reduce_to_elementary,
     reflection_product,
     sample_orthogonal,
     sample_orthogonal_random,
@@ -31,6 +29,10 @@ from pclifford.group import (
 
 def bv(text):
     return BitVec.from_string(text)
+
+
+def reflect(a, v):
+    return v ^ a if dot(a, v) else v  # h_a v = v + (a^T v) a
 
 
 def even_vectors(n_bits):
@@ -87,29 +89,51 @@ class TestMapTypes:
 
 class TestHouseholder:
     def test_definition_example(self):
-        assert apply_householder(bv("1100"), bv("1000")) == bv("0100")
+        assert reflection_product([bv("1100")], 4).mulvec(bv("1000")) == bv("0100")
 
-    @given(even_vectors(8), st.integers(0, 255))
-    def test_involution(self, a, vbits):
-        v = BitVec(8, vbits)
-        assert apply_householder(a, apply_householder(a, v)) == v
+    @given(even_vectors(8))
+    def test_involution(self, a):
+        h = reflection_product([a], 8)
+        assert h.mul(h) == BitMatrix.identity(8)
 
     @given(even_vectors(8))
     def test_fixes_all_ones(self, a):
         j = make_form("all_ones", 8)
-        assert apply_householder(a, j) == j
+        assert reflection_product([a], 8).mulvec(j) == j
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
-            apply_householder(bv("100"), bv("010"))
+            reflection_product([bv("100")], 3)
 
-    @given(even_vectors(8), even_vectors(8), st.integers(0, 255))
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            reflection_product([bv("1100")], 6)
+
+    def test_empty_product_is_identity(self):
+        assert reflection_product([], 6) == BitMatrix.identity(6)
+
+    def test_word_acts_reflection_by_reflection_at_4096_labels(self):
+        # rightmost reflection acts first, at a size far past the small cases
+        rng = random.Random(29)
+        word = []
+        for _ in range(4):
+            bits = rng.getrandbits(4096)
+            word.append(BitVec(4096, bits ^ (bits.bit_count() & 1)))
+        m = reflection_product(word, 4096)
+        for _ in range(3):
+            v = BitVec(4096, rng.getrandbits(4096))
+            expect = v
+            for a in reversed(word):
+                expect = reflect(a, expect)
+            assert m.mulvec(v) == expect
+
+    @given(even_vectors(8), even_vectors(8))
     @settings(max_examples=200)
-    def test_reflection_braiding(self, a, b, vbits):
+    def test_reflection_braiding(self, a, b):
         # h_b h_a h_b = h_{h_b a}
-        v = BitVec(8, vbits)
-        lhs = apply_householder(b, apply_householder(a, apply_householder(b, v)))
-        assert lhs == apply_householder(apply_householder(b, a), v)
+        hb = reflection_product([b], 8)
+        lhs = hb.mul(reflection_product([a], 8)).mul(hb)
+        assert lhs == reflection_product([hb.mulvec(a)], 8)
 
 
 class TestGroupOrder:
@@ -289,84 +313,6 @@ class TestDecomposeOrthogonal:
             assert reflection_product(decompose_orthogonal(S), 4) == S.m
 
 
-def ref_reduce_to_elementary(a):
-    """reduce_to_elementary as a recursion, one level per step: b h_x b."""
-    full = (1 << a.n) - 1
-
-    def rec(bits):
-        if bits.bit_count() in (2, 4):
-            return [bits]
-        top3 = 0
-        x = bits
-        for _ in range(3):
-            t = 1 << (x.bit_length() - 1)
-            top3 |= t
-            x ^= t
-        clear = ~bits & full
-        b = top3 | (clear & -clear)
-        return [b] + rec(bits ^ b) + [b]
-
-    return [BitVec(a.n, bits) for bits in rec(a.bits)]
-
-
-def random_even(rng, n):
-    """An even vector of n bits, neither zero nor all-ones."""
-    while True:
-        bits = rng.randrange(1, (1 << n) - 1)
-        if bits.bit_count() % 2 == 0:
-            return BitVec(n, bits)
-
-
-class TestReduceToElementary:
-    def test_matches_the_recursive_reference(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            a = random_even(rng, rng.randint(3, 300))
-            assert reduce_to_elementary(a) == ref_reduce_to_elementary(a)
-
-    def test_word_acts_as_the_reflection_at_4096_labels(self):
-        # about 2000 steps, past the depth at which a recursion fails
-        rng = random.Random(29)
-        a = random_even(rng, 4096)
-        word = reduce_to_elementary(a)
-        assert len(word) == a.weight - 3 and all(x.weight in (2, 4) for x in word)
-        for _ in range(3):
-            v = BitVec(4096, rng.getrandbits(4096))
-            got = v
-            for x in reversed(word):
-                got = apply_householder(x, got)
-            assert got == apply_householder(a, v)
-
-    def test_low_weight_passthrough(self):
-        assert reduce_to_elementary(bv("1100")) == [bv("1100")]
-        assert reduce_to_elementary(bv("111100")) == [bv("111100")]
-
-    def test_weight_six_example(self):
-        got = reduce_to_elementary(bv("11111100"))
-        assert got == [bv("11100001"), bv("00011101"), bv("11100001")]
-
-    def test_product_reproduces_reflection(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            n = rng.choice([6, 8, 10, 12])
-            while True:
-                bits = rng.randrange(1, (1 << n) - 1)
-                if bits.bit_count() % 2 == 0 and bits.bit_count() >= 2:
-                    break
-            a = BitVec(n, bits)
-            word = reduce_to_elementary(a)
-            assert all(x.weight in (2, 4) for x in word)
-            assert reflection_product(word, n) == reflection_product([a], n)
-
-    def test_rejects_j_and_zero_and_odd(self):
-        with pytest.raises(ValueError):
-            reduce_to_elementary(bv("111111"))
-        with pytest.raises(ValueError):
-            reduce_to_elementary(bv("000000"))
-        with pytest.raises(ValueError):
-            reduce_to_elementary(bv("100"))
-
-
 class TestBraidAction:
     def test_mode_relabel_example(self):
         out = braid_action(bv("1100"), MajoranaString(0, bv("1000")))
@@ -397,7 +343,7 @@ class TestBraidAction:
             a = BitVec(n2, ab)
             v = BitVec(n2, rng.randrange(1 << n2))
             out = braid_action(a, MajoranaString(0, v))
-            assert out.v == apply_householder(a, v)
+            assert out.v == reflect(a, v)
 
     def test_matches_dense_conjugation(self):
         rng = random.Random(23)
@@ -443,7 +389,7 @@ class TestWordOrthogonal:
             v = BitVec(n2, rng.randrange(1 << n2))
             expect = v
             for a in reversed(gens):
-                expect = apply_householder(a, expect)
+                expect = reflect(a, expect)
             assert S.m.mulvec(v) == expect
 
 

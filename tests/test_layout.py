@@ -1,5 +1,6 @@
 """Module layout: private helpers, set-bit loops and byte selectors live in
-the _bits module, each of its kernels has a caller, random picks are drawn
+the _bits module, each of its kernels and each module export has a caller
+or is a declared entry point, random picks are drawn
 by one helper of group, and only the reference layers build the dense
 Jordan-Wigner matrix."""
 
@@ -645,11 +646,66 @@ def unreferenced_exports(module, paths):
     return [name for name in exported_names(module) if name not in used]
 
 
-def test_every_batch_export_has_a_caller():
-    """A batch kernel that a change of path leaves behind fails here."""
-    batch = SRC / "batch.py"
-    assert exported_names(batch)
-    assert unreferenced_exports(batch, sorted(SRC.glob("*.py"))) == []
+SCRIPTS = SRC.parent.parent / "scripts"
+
+# exports that no other module of src/ and no script calls: the library's
+# API, and the dense oracle that the tests check it against
+ENTRY_POINTS = (
+    # f2core
+    "AffineSolution", "complement", "parse_matrix",
+    # strings
+    "commutes", "jordan_wigner_map", "parity_operator",
+    # dense
+    "DIM_CAP", "dense_word", "stabilizer_projector_dense", "parity_restricted_trace_sq",
+    # group
+    "decompose_orthogonal", "reflection_product", "parse_braid_word",
+    # stabilizer
+    "IsotropicSubspace", "Stabilizer", "validate_isotropic", "stabilizer_element",
+    "logical_generators", "state_parity", "format_stabilizer",
+    # design
+    "FixedPointProfile", "FramePotentialReport", "fixed_point_profile", "quotient_action",
+)
+
+
+def uncalled_exports(src, scripts):
+    """{module: its exports that no other module of src and no script
+    names}; the package __init__ imports every export, so it calls none."""
+    callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    callers += sorted(scripts.glob("*.py"))
+    found = {path.stem: unreferenced_exports(path, callers) for path in sorted(src.glob("*.py"))}
+    return {module: names for module, names in found.items() if names}
+
+
+def test_every_export_has_a_caller():
+    """An export that a change of path leaves behind fails here, unless it
+    is a declared entry point."""
+    stray = [
+        f"{module}.{name}"
+        for module, names in uncalled_exports(SRC, SCRIPTS).items()
+        for name in names
+        if name not in ENTRY_POINTS
+    ]
+    assert stray == []
+    exported = {name for path in SRC.glob("*.py") for name in exported_names(path)}
+    assert set(ENTRY_POINTS) <= exported
+    assert list(SCRIPTS.glob("*.py"))
+
+
+def test_export_guard_counts_no_package_import_as_a_caller(tmp_path):
+    src, scripts = tmp_path / "src", tmp_path / "scripts"
+    src.mkdir()
+    scripts.mkdir()
+    (src / "group.py").write_text(
+        '__all__ = ["braid_action", "sample", "word"]\n'
+        "def braid_action(a, s):\n"
+        "    return word(a)\n"
+    )
+    (src / "__init__.py").write_text("from .group import braid_action, sample, word\n")
+    (src / "stabilizer.py").write_text("from .group import braid_action\n")
+    (scripts / "demo.py").write_text("from pclifford import group\nw = group.word\n")
+    assert uncalled_exports(src, scripts) == {"group": ["sample"]}
+    (scripts / "demo.py").unlink()
+    assert uncalled_exports(src, scripts) == {"group": ["sample", "word"]}
 
 
 def test_export_guard_finds_unreferenced_names(tmp_path):
