@@ -42,11 +42,12 @@ m, the vectors depend on the group, the level k and the picks, never on
 dim, so a level of at most 4096 picks reads them from a table of the
 vector function on every pick, with one fancy index: O(N) levels
 6..13 and Sp level 6, 9 tables and about 260 kB.  Larger levels compute
-their vectors per batch, and the tree computes each level's vectors on
-every pick once per walk.  Both steps take the levels, the entries each
-reads and their radices from group.levels and group.level_sizes, and
-the vector function from a table keyed by kind, so nothing here
-branches on the kind of group.
+their vectors per batch.  The exact tree reads the same tables whole:
+every level the exact budget admits has at most 2016 picks (Sp(6) level
+6).  Both steps take the levels, the entries each reads and their
+radices from group.levels and group.level_sizes, and the vector
+function from a table keyed by kind, so nothing here branches on the
+kind of group.
 
 design loads this module on its first potential, so importing the
 package neither compiles it nor loads numpy.
@@ -71,7 +72,7 @@ _CHUNK = 2048
 # the bottom levels whose group has at most this many elements read one
 # table of that group (O(5), Sp(4)); a level above them with at most this
 # many picks reads its vectors from a table of every pick (O(N) levels
-# 6..13, Sp level 6); 0 turns every table off
+# 6..13, Sp level 6); 0 turns the tables of random batches off
 _TABLE_PICKS = 4096
 
 
@@ -156,11 +157,8 @@ def _every_element(kind: str, dim: int):
     per level is alive.
     """
     sizes = level_sizes(kind, dim)
-    vector_fn = _VECTORS[kind]
-    # the vectors of each level on every pick, computed once per walk: a
-    # table would only copy them
     tree = [
-        (k, *vector_fn(k, *_every_pick([sizes[e] for e in entries])))
+        (k, *_level_table(kind, k, tuple(sizes[e] for e in entries)))
         for k, entries in levels(kind, dim)
     ]
 
@@ -201,12 +199,6 @@ def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the builders of group, level by level over the batch
-
-
-def _every_pick(radices) -> np.ndarray:
-    """Every pick of a level, one row per entry, the first entry varying
-    slowest: column c is c as a mixed-radix number."""
-    return np.indices(radices, np.uint64).reshape(len(radices), -1)
 
 
 def _identity(n: int) -> np.ndarray:
@@ -294,9 +286,12 @@ _VECTORS = {"orthogonal": _orthogonal_vectors, "symplectic": _symplectic_vectors
 
 @lru_cache(maxsize=None)
 def _level_table(kind: str, k: int, radices: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-    """The vector function of a level on every pick, the first entry
-    varying slowest, read-only: at most _TABLE_PICKS columns."""
-    vectors, layout = _VECTORS[kind](k, *_every_pick(radices))
+    """The vector function of a level on every pick, read-only: column c
+    is the pick that reads c in mixed radix, the first entry slowest.  A
+    random batch reads one column per pick list where the level has at
+    most _TABLE_PICKS picks; the exact tree reads the table whole."""
+    picks = np.indices(radices, np.uint64).reshape(len(radices), -1)
+    vectors, layout = _VECTORS[kind](k, *picks)
     vectors.flags.writeable = False
     return vectors, layout
 

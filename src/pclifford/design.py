@@ -21,29 +21,22 @@ to a summand: exact mode counts the exponents of every element into a
 histogram {e: count} and shifts each count by e (t - 1); Monte Carlo
 sums the exponents of random pick lists as a stream.
 
-Exact mode enumerates at most 10^7 elements, all of at most 7 labels.
-The batch module walks the group as a tree of shared prefixes: the rows
-after level k are built once per choice of the picks of levels 2..k,
-then tiled over the picks of level k + 1, so each element costs one
-level of rank-one updates and one rank.  No array holds more than 2048
-elements, and at most one per level is alive (about 0.8 MB traced at
-O(7) and Sp(6)).  The histogram does not depend on t, so it is
-enumerated once per (group, dim, restricted) per process and kept: the
-budget admits 13 such keys, O(1..7), restricted O(2), O(4) and O(6), and
-Sp(2), Sp(4) and Sp(6), so the cache holds at most 13 histograms of at
-most 8 ints, and each further t costs dim + 1 shifts.
+Exact mode enumerates at most 10^7 elements, all of at most 7 labels, by
+the batch module's tree of shared prefixes, so each element costs one
+level of rank-one updates and one rank.  The histogram does not depend
+on t, so it is enumerated once per (group, dim, restricted) per process
+and kept: the budget admits 13 such keys, O(1..7), restricted O(2), O(4)
+and O(6), and Sp(2), Sp(4) and Sp(6), so the cache holds at most 13
+histograms of at most 8 ints, and each further t costs dim + 1 shifts.
 
 Every Monte Carlo pick comes from group.random_draws, which runs
 randrange's own getrandbits loop inline on a random.Random: the same
-draws as the samplers, at about a third of the cost of randrange.  Up
-to 64 labels the run goes in chunks of at most 1024 pick lists, drawn
-straight into uint64 and built and ranked in numpy (a chunk at 64
-labels peaks near 3 MB); levels of at most 4096 picks read their
-vectors from a table, one fancy index per level, so a chunk of 64
-samples costs little more than its draws.  Past 64 labels a row does
-not fit a uint64, so each sample is built by the scalar group_rows and
-ranked by _exponent: the stream holds one element, dim Python ints, at
-a time.
+draws as the samplers, at about a third of the cost of randrange.  Up to
+64 labels the run goes in chunks of at most 1024 pick lists, drawn
+straight into uint64 and built and ranked in numpy (a chunk at 64 labels
+peaks near 3 MB).  Past 64 labels a row does not fit a uint64, so each
+sample is built by the scalar group_rows and ranked by _exponent: the
+stream holds one element, dim Python ints, at a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -248,8 +241,7 @@ def _potential(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     sizes = level_sizes(kind, dim)
     if dim > 64:  # past the uint64 rows of the batch module, one at a time
-        draws = random_draws(rng, sizes, samples)
-        pick_lists = (list(itertools.islice(draws, len(sizes))) for _ in range(samples))
+        pick_lists = (list(random_draws(rng, sizes)) for _ in range(samples))
         stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in pick_lists)
     else:
         # chunks in sample order; the last draws only the samples that remain

@@ -23,6 +23,7 @@ from ._bits import jw_col, pair_mask, prefix_parity
 from .f2core import BitVec, make_form, symp_product
 
 __all__ = [
+    "BASES",
     "MajoranaString",
     "zeta_coeff",
     "compose",

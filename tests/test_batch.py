@@ -127,6 +127,10 @@ def test_tables_cover_the_small_levels_in_about_270_kb():
         *(("orthogonal", k) for k in range(2, 14)),
         *(("symplectic", k) for k in (2, 4, 6)),
     ]
+    # a cold subgroup table walks the exact tree, which reads the tables
+    # of its levels: built first, the count below is what batches add
+    batch._subgroup_table("orthogonal", 5)
+    batch._subgroup_table("symplectic", 4)
     batch._level_table.cache_clear()
     for kind, dim in (("orthogonal", 64), ("symplectic", 64)):
         group_rows_batch(kind, dim, seeded_pick_lists(kind, dim, 3, seed=dim))

@@ -310,3 +310,13 @@ class TestParityRestrictedTrace:
             prof = fixed_point_profile(word_orthogonal(word))
             allowed = (prof.f_plus + prof.c_plus) / 2
             assert min(abs(val), abs(val - allowed)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: dense_braid(BitVec(3, 0b110)), "string labels have even length")],
+)
+def test_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

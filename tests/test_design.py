@@ -627,3 +627,13 @@ class TestMonteCarloSeed:
             frame_potential("orthogonal", 4, 2, mode="monte_carlo", seed=seed, samples=5)
         with pytest.raises(ValueError, match="seed must be"):
             parity_frame_potential(4, 2, mode="monte_carlo", seed=seed, samples=5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: orbit_decomposition(4, 1, "orthogonal", "x"), "unknown space 'x'")],
+)
+def test_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

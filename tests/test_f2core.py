@@ -376,3 +376,35 @@ class TestTextFormat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_matrix("\n\n")
+
+
+I2 = BitMatrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bv("101").get(4), ValueError, "index 4 out of range 1..3"),
+        (lambda: bv("10") ^ bv("101"), ValueError, "length mismatch"),
+        (lambda: BitMatrix(0, 2, ()), ValueError, "matrix dimensions must be >= 1"),
+        (lambda: BitMatrix.from_rows([]), ValueError, "need at least one row"),
+        (lambda: I2.row(3), ValueError, "row index 3 out of range 1..2"),
+        (lambda: I2.col(0), ValueError, "column index 0 out of range 1..2"),
+        (lambda: I2.mul(BitMatrix.identity(3)), ValueError, "inner dimensions do not match"),
+        (lambda: I2.mulvec(bv("101")), ValueError, "length mismatch"),
+        (lambda: dot(bv("10"), bv("101")), ValueError, "length mismatch"),
+        (lambda: complement(5), TypeError, "expected BitVec or BitMatrix"),
+        (lambda: symp_product(bv("10"), bv("1010")), ValueError, "length mismatch"),
+        (lambda: symp_product(bv("10"), bv("11"), "x"), ValueError, "unknown basis 'x'"),
+        (lambda: make_form("identity", 0), ValueError, "dimension must be >= 1"),
+        (
+            lambda: solve_affine(I2, bv("101")),
+            ValueError,
+            "row count does not match right-hand side",
+        ),
+    ],
+)
+def test_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

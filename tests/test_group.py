@@ -414,3 +414,13 @@ class TestBraidWordFormat:
     def test_unknown_line(self):
         with pytest.raises(ValueError):
             parse_braid_word("Q 1100\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: braid_action(bv("11"), MajoranaString(0, bv("1100"))), "length mismatch")],
+)
+def test_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

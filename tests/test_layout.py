@@ -1,14 +1,18 @@
 """Module layout: private helpers, set-bit loops and byte selectors live in
 the _bits module, each of its kernels and each module export has a caller
-or is a declared entry point, random picks are drawn
-by one helper of group, and only the reference layers build the dense
-Jordan-Wigner matrix."""
+or is a declared entry point, the package exports exactly its public
+modules' __all__, random picks are drawn by one helper of group, and only
+the reference layers build the dense Jordan-Wigner matrix."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pclifford
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pclifford"
 SHARED = "_bits"
@@ -669,7 +673,7 @@ ENTRY_POINTS = (
 
 def uncalled_exports(src, scripts):
     """{module: its exports that no other module of src and no script
-    names}; the package __init__ imports every export, so it calls none."""
+    names}; the package __init__ only re-exports, so it calls none."""
     callers = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
     callers += sorted(scripts.glob("*.py"))
     found = {path.stem: unreferenced_exports(path, callers) for path in sorted(src.glob("*.py"))}
@@ -719,6 +723,62 @@ def test_export_guard_finds_unreferenced_names(tmp_path):
     probe.write_text("from . import batch\nx = batch.exponents\n")
     assert exported_names(module) == ["exponents", "index_picks", "rank_batch"]
     assert unreferenced_exports(module, [module, probe]) == ["index_picks", "rank_batch"]
+
+
+# the modules whose __all__ the package re-exports, and nothing else
+PUBLIC_MODULES = ("f2core", "strings", "group", "stabilizer", "design")
+
+
+def init_extras(path):
+    """(line, source) of each statement of a package __init__ other than
+    its docstring, a star import of a public module and __version__."""
+    text = path.read_text()
+    found = []
+    for i, node in enumerate(ast.parse(text, filename=str(path)).body):
+        docstring = i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        star = (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 1
+            and node.module in PUBLIC_MODULES
+            and [alias.name for alias in node.names] == ["*"]
+        )
+        version = isinstance(node, ast.Assign) and [
+            getattr(target, "id", None) for target in node.targets
+        ] == ["__version__"]
+        if not (docstring or star or version):
+            found.append((node.lineno, ast.get_source_segment(text, node)))
+    return found
+
+
+def test_the_package_exports_each_module_all_and_nothing_else():
+    """One list of public names per module: __init__ holds no list of its
+    own, so the two cannot drift apart, and a missing star import drops
+    that module's names."""
+    assert init_extras(SRC / "__init__.py") == []
+    modules = [importlib.import_module(f"pclifford.{name}") for name in PUBLIC_MODULES]
+    public = {
+        name
+        for name, value in vars(pclifford).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set().union(*(module.__all__ for module in modules))
+
+
+def test_init_guard_finds_an_explicit_import(tmp_path):
+    probe = tmp_path / "__init__.py"
+    probe.write_text(
+        '"""The package."""\n'
+        "from .f2core import *\n"
+        "from .group import braid_action\n"
+        "from .dense import *\n"
+        "__all__ = ['braid_action']\n"
+        '__version__ = "0.1.0"\n'
+    )
+    assert init_extras(probe) == [
+        (3, "from .group import braid_action"),
+        (4, "from .dense import *"),
+        (5, "__all__ = ['braid_action']"),
+    ]
 
 
 def kind_comparisons(path):

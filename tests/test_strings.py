@@ -220,3 +220,21 @@ class TestTextFormat:
         for text in ("i^ 10", "10", "i^1", "i^1 10 11", "j^1 10"):
             with pytest.raises(ValueError):
                 parse_string(text)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MajoranaString(0, bv("10"), "x"), "unknown basis 'x'"),
+        (lambda: zeta_coeff(bv("10"), bv("11"), "x"), "unknown basis 'x'"),
+        (lambda: zeta_coeff(bv("101"), bv("110")), "string labels have even length"),
+        (
+            lambda: commutes(MajoranaString(0, bv("10")), MajoranaString(0, bv("10"), "pauli")),
+            "basis mismatch",
+        ),
+    ],
+)
+def test_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
