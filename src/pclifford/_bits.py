@@ -22,10 +22,10 @@ to 25 ns per bit of m, set or not, and half as much again in rank_one's
 scatter, which makes an int per index.  The two cross near weight 14 at
 m = 64, 38 at 256, 100 at 1024 and 190 at 4096, so x is dense when
 w >= 12 and w^2 >= 6 m.  gather and rank_one test this inline: a
-function call would add 5 to 10 % to a weight-2 selector.  The random level vectors of the samplers and most encoder
-reflections are dense.  The weight-2 reflections of the orthogonal
-levels and the transvection routes are sparse, and compress would be 6
-to 50 times slower on them.
+function call would add 5 to 10 % to a weight-2 selector.  The random
+level vectors of the samplers and most encoder reflections are dense.
+The weight-2 reflections of the orthogonal levels and the transvection
+routes are sparse, and compress would be 6 to 50 times slower on them.
 """
 
 from __future__ import annotations

@@ -25,10 +25,12 @@ restricted rank writes its augmented bit into bit 0.
 A level is split in two.  One vector function per group computes the
 level's vectors from its picks: the reflections (a, b) for O(N), the
 four transvections as rows (eta h, h) for Sp, zero where fewer are
-needed.  One apply step, shared by random batches, which run the levels
-on one array, and by exact_histogram, which walks the group as a tree
-of shared prefixes, then makes the level's rank-one updates, one
-_rank_one call each, so no update's temporaries outlive it.
+needed.  One apply step then makes the level's rank-one updates, one
+_rank_one call each, so no update's temporaries outlive it.  A random
+batch runs it on a (k, B) array, one vector per element; exact_histogram
+walks the group as a tree of shared prefixes on (k, states, picks)
+arrays, with the states broadcast along the picks and the vectors along
+the states, so neither is copied.
 
 A random batch reads its small levels from tables memoized for the
 process, each at most _TABLE_PICKS = 4096 columns.  Levels 2..m build
@@ -66,8 +68,9 @@ from .group import group_order, level_sizes, levels, random_draws
 
 __all__ = ["random_picks", "exponents", "exact_histogram"]
 
-# elements per array of the exact tree: larger arrays pay numpy's call
-# overhead less often, smaller ones stay in cache; 2048 measured best
+# elements per block of the exact tree, at least the 2016 picks of its
+# largest level (Sp(6) level 6); cold walks of O(6), O(7) and Sp(6) were
+# faster at 2048 than at 1024 (O(N) only) or 4096
 _CHUNK = 2048
 # the bottom levels whose group has at most this many elements read one
 # table of that group (O(5), Sp(4)); a level above them with at most this
@@ -148,42 +151,30 @@ def exact_histogram(kind: str, dim: int, restricted: bool) -> tuple[int, ...]:
 
 def _every_element(kind: str, dim: int):
     """Every element of the group once, as (dim, B) batches, B <= _CHUNK.
-
-    A tree of shared prefixes: the states after level k, one per choice
-    of the picks of levels 2..k, are tiled over the picks of level k + 1,
-    so each element costs one level of rank-one updates.  A block of
-    states and picks is split so that no array holds more than _CHUNK
-    elements, and the tree is walked depth first, so at most one array
-    per level is alive.
-    """
+    Each level's step is a generator over the blocks of the level below,
+    so the tree is walked depth first, one block per level alive."""
     sizes = level_sizes(kind, dim)
-    tree = [
-        (k, *_level_table(kind, k, tuple(sizes[e] for e in entries)))
-        for k, entries in levels(kind, dim)
-    ]
+    blocks = [_identity(dim - len(sizes))]  # the rows no level builds
+    for k, entries in levels(kind, dim):
+        radices = tuple(sizes[e] for e in entries)
+        blocks = _level_blocks(blocks, k, *_level_table(kind, k, radices))
+    return blocks
 
-    def walk(states: np.ndarray, depth: int):
-        if depth == len(tree):
-            yield states
-            return
-        k, vectors, layout = tree[depth]
-        size = vectors.shape[1]
-        m = min(size, _CHUNK)  # picks per block
-        g = max(1, _CHUNK // m)  # states per block
+
+def _level_blocks(blocks, k: int, vectors: np.ndarray, layout: tuple):
+    """Level k on each (rows, B) block below, g states at a time, as
+    (k, g * picks) blocks, the state slowest; g >= 1, since no level has
+    more than _CHUNK picks."""
+    g = _CHUNK // vectors.shape[1]
+    for states in blocks:
+        top = k - len(states)
         for i in range(0, states.shape[1], g):
             prefix = states[:, i : i + g]
-            for j in range(0, size, m):
-                block = vectors[:, j : j + m]
-                n = block.shape[1]
-                level = np.empty((k, prefix.shape[1] * n), np.uint64)
-                level[: k - len(prefix)] = _identity(k)[: k - len(prefix)]
-                level[k - len(prefix) :] = np.repeat(prefix, n, axis=1)
-                # the tiled vectors die with the call, before the walk goes deeper
-                _apply(level, np.tile(block, prefix.shape[1]), layout)
-                yield from walk(level, depth + 1)
-
-    # the rows no level builds, the identity
-    return walk(_identity(dim - len(sizes)), 0)
+            level = np.empty((k, prefix.shape[1], vectors.shape[1]), np.uint64)
+            level[:top] = _identity(k)[:top, None]
+            level[top:] = prefix[:, :, None]
+            _apply(level, vectors[:, None, :], layout)
+            yield level.reshape(k, -1)
 
 
 def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
@@ -216,12 +207,16 @@ def _top_bits(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rank_one(level: np.ndarray, u: np.ndarray, h: np.ndarray) -> None:
-    """rank_one on every element of a (k, B) level, in place: the rows at
-    the set bits of u XOR-reduced, then added to the rows at the bits of h."""
-    shifts = np.arange(len(level) - 1, -1, -1, dtype=np.uint64)[:, None]
+    """rank_one on every element of a level of k rows, in place: the rows
+    at the set bits of u XOR-reduced, then added to the rows at the bits
+    of h.  A row of the level has any shape that u and h broadcast to."""
+    shifts = np.arange(len(level) - 1, -1, -1, dtype=np.uint64)
+    shifts = shifts.reshape((-1,) + (1,) * (level.ndim - 1))
     select = -((u >> shifts) & 1)  # all ones where row i is selected
     acc = np.bitwise_xor.reduce(level & select, axis=0)
     if h is not u:
+        # freed first: a third level-sized array makes malloc trim and refault the heap
+        del select
         select = -((h >> shifts) & 1)
     level ^= select & acc
 
@@ -324,8 +319,9 @@ def _subgroup_table(kind: str, m: int) -> np.ndarray:
 
 
 def _apply(level: np.ndarray, vectors: np.ndarray, layout: tuple) -> None:
-    """The updates of a level in place on a (k, B) batch, in layout order;
-    each _rank_one frees its temporaries before the next is built."""
+    """The updates of a level of k rows in place, in layout order: row i
+    of vectors broadcasts to a row of the level; each _rank_one frees its
+    temporaries before the next is built."""
     rows = list(vectors)  # one view per row: a reflection passes one twice
     for i, j in layout:
         _rank_one(level, rows[i], rows[j])

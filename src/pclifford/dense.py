@@ -48,7 +48,8 @@ def _check_dim(n2: int) -> None:
         raise ValueError(f"dense oracle is capped at 2n = {DIM_CAP}")
 
 
-@lru_cache(maxsize=None)
+# 1024 entries each: at 12 labels an entry is a 64 x 64 complex matrix, 64 KB
+@lru_cache(maxsize=1024)
 def _pauli_matrix(n2: int, bits: int) -> np.ndarray:
     """pi(v) for the packed label bits, phase normalization included."""
     v = BitVec(n2, bits)
@@ -72,7 +73,7 @@ def _pauli_matrix(n2: int, bits: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _majorana_matrix(n2: int, bits: int) -> np.ndarray:
     """mu(v) as i**q(v) times the ordered product of mode operators."""
     W = make_form("jw", n2)

@@ -178,9 +178,10 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
 # group orders exact mode enumerates: O(7) and Sp(6), 1451520 elements
-# each, are the largest, and their prefix tree takes 0.1-0.3 s; the
-# budget also bounds batch.exact_histogram's cache, one histogram per
-# admitted (group, dim, restricted), 13 in all
+# each, are the largest: a cold walk of their prefix tree measured
+# 0.23-0.26 s and 0.32-0.45 s on 2 shared CPUs; the budget also bounds
+# batch.exact_histogram's cache, one histogram per admitted (group, dim,
+# restricted), 13 in all
 _EXACT_BUDGET = 10**7
 # Monte Carlo pick lists per batch up to 64 labels, near 3 MB at 64
 _MC_CHUNK = 1024
@@ -391,10 +392,11 @@ def orbit_decomposition(
     bit dim - 1 clear (bit dim - 2 is then their parity).  A generator
     is linear on the points, so its image of every point comes from its
     columns by doubling (_bits.span_table); in the quotient column k is
-    the image of the label with bits k and dim - 2, read back as a point.  Each generator permutes the tuples, so an
-    orbit is what a search along the generator images reaches from any
-    one of its tuples; a bytearray marks the tuples seen, and the images
-    of each generator are one array of tuple indices.
+    the image of the label with bits k and dim - 2, read back as a
+    point.  Each generator permutes the tuples, so an orbit is what a
+    search along the generator images reaches from any one of its
+    tuples; a bytearray marks the tuples seen, and the images of each
+    generator are one array of tuple indices.
 
     One limit bounds the work, and a request beyond it raises
     ValueError before anything is enumerated: at most 2^16 tuples and a

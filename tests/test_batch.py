@@ -339,10 +339,12 @@ def test_another_t_of_the_same_group_does_not_walk_the_tree_again(monkeypatch):
 @pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
 def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
     """O(7) and Sp(6), 1451520 elements each: one key per element, the
-    rows packed side by side, and as many distinct keys as the order."""
+    rows packed side by side, and as many distinct keys as the order; a
+    block of keys is as wide as its block of elements, at most _CHUNK."""
     shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(dim)
-    blocks = _every_element(kind, dim)
-    keys = np.sort(np.concatenate([np.bitwise_or.reduce(b << shifts, axis=0) for b in blocks]))
+    keys = [np.bitwise_or.reduce(b << shifts, axis=0) for b in _every_element(kind, dim)]
+    assert max(map(len, keys)) <= _CHUNK
+    keys = np.sort(np.concatenate(keys))
     # distinct keys counted on the sorted array: np.unique takes about 1 s here
     assert len(keys) == group_order(kind, dim)
     assert np.count_nonzero(keys[1:] != keys[:-1]) + 1 == len(keys)
@@ -351,8 +353,9 @@ def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
 @pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
 def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
     """At the largest orders the budget admits, the tree holds one array
-    of at most _CHUNK elements per level: about 0.8 MB traced, where the
-    index chunks before it took about 0.4 MB.  The cache is cleared first:
+    of at most _CHUNK elements per level: about 0.63 MB traced (0.75 and
+    0.83 MB while the tree copied its states and vectors), where the index
+    chunks before it took about 0.4 MB.  The cache is cleared first:
     a histogram left by an earlier test would skip the walk."""
     exact_histogram.cache_clear()
     tracemalloc.start()
@@ -366,6 +369,18 @@ def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
 
 # the admitted keys of exact mode: O(1..7), restricted O(2, 4, 6), Sp(2, 4, 6)
 ADMITTED = with_restriction(EVERY) + [("orthogonal", 7, False), ("symplectic", 6, False)]
+
+
+def test_every_admitted_level_fits_one_block():
+    """The exact tree gives each state every pick of a level in one block,
+    and _level_table builds the level whole, so no level of a key exact
+    mode admits has more than _CHUNK picks; Sp(6) level 6 has 2016."""
+    picks = [
+        math.prod(level_sizes(kind, dim)[e] for e in entries)
+        for kind, dim, _ in ADMITTED
+        for _, entries in levels(kind, dim)
+    ]
+    assert max(picks) == 2016 <= _CHUNK
 
 
 def index_pick_lists(kind, dim, lo, hi):

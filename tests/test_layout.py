@@ -618,7 +618,8 @@ def itertools_products(path):
 
 
 def test_design_enumerates_without_itertools_product():
-    """Exact mode decodes chunks of indices; it does not walk a product."""
+    """Exact mode walks batch's prefix tree of numpy blocks; it does not
+    walk a product."""
     assert itertools_products(SRC / "design.py") == []
 
 
