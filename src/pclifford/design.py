@@ -63,7 +63,6 @@ from .f2core import BitMatrix, rank_ints
 from .group import (
     OrthogonalMap,
     SymplecticMap,
-    group_order,
     group_rows,
     level_bits,
     level_sizes,
@@ -177,31 +176,26 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
 # bits keep the exact value within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
-# group orders exact mode enumerates: O(7) and Sp(6), 1451520 elements
-# each, are the largest: a cold walk of their prefix tree measured
-# 0.23-0.26 s and 0.32-0.45 s on 2 shared CPUs; the budget also bounds
-# batch.exact_histogram's cache, one histogram per admitted (group, dim,
-# restricted), 13 in all
+# group orders exact mode enumerates, judged by level_bits < 24, its bit
+# length: the order is at least 2^level_bits, and the two agree at every dim
+# (tested at 1..64).  O(7) and Sp(6), 1451520 elements each, are the largest:
+# cold walks of their tree took 0.23-0.26 s and 0.32-0.45 s on 2 shared CPUs.
+# It also bounds batch.exact_histogram's cache, 13 admitted keys in all
 _EXACT_BUDGET = 10**7
-# Monte Carlo pick lists per batch up to 64 labels, near 3 MB at 64
+# Monte Carlo pick lists per batch to 64 labels, near 3 MB there; 128-256 fault less, run slower
 _MC_CHUNK = 1024
 
 
 def _exact_refusal(kind: str, dim: int, t: int) -> Optional[str]:
-    """Why exact mode refuses a request, or None when it takes it."""
+    """Why exact mode refuses a request, or None; it forms no group order."""
     if dim * (t - 1) > _EXACT_BITS:
         return (
             f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
             f"of {_EXACT_BITS} bits per summand"
         )
-    # the order is at least 2^low: a huge one is refused from its bit count,
-    # before the level sizes or a product too long to print are formed
     low = level_bits(kind, dim)
-    if low >= _EXACT_BITS:
+    if low >= _EXACT_BUDGET.bit_length():
         return f"group order of at least 2^{low} exceeds the exact-mode budget {_EXACT_BUDGET}"
-    order = group_order(kind, dim)
-    if order > _EXACT_BUDGET:
-        return f"group order {order} exceeds the exact-mode budget {_EXACT_BUDGET}"
     return None
 
 
@@ -227,9 +221,8 @@ def _potential(
             raise ValueError(refusal)
         hist = batch.exact_histogram(kind, dim, restricted)
         total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
-        return FramePotentialReport(
-            kind, dim, t, "exact", restricted, value=Fraction(total, group_order(kind, dim))
-        )
+        value = Fraction(total, sum(hist))  # the histogram counts each element once
+        return FramePotentialReport(kind, dim, t, "exact", restricted, value=value)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:

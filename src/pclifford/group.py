@@ -224,9 +224,13 @@ def level_bits(kind: str, dim: int) -> int:
     return dim * dim // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def group_order(kind: str, dim: int) -> int:
-    return math.prod(level_sizes(kind, dim))
+    """The product of the level sizes, pairwise: a left fold is quadratic."""
+    sizes = level_sizes(kind, dim)
+    while len(sizes) > 1:
+        sizes = [math.prod(sizes[i : i + 2]) for i in range(0, len(sizes), 2)]
+    return math.prod(sizes)
 
 
 def levels(kind: str, dim: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -255,15 +259,18 @@ def group_rows(kind: str, dim: int, picks: Sequence[int]) -> list[int]:
 def _index_picks(kind: str, dim: int, index: int) -> list[int]:
     """index - 1 as mixed-radix digits, the first entry least significant;
     in range exactly when nothing remains, so the order is not formed."""
+    sizes = level_sizes(kind, dim)
+    low = level_bits(kind, dim)
     rem = index - 1
     picks = []
-    for s in level_sizes(kind, dim):
-        rem, digit = divmod(rem, s)
-        picks.append(digit)
+    # the order is below 2^(low + len(sizes)): a longer index is not divided
+    if rem.bit_length() <= low + len(sizes):
+        for s in sizes:
+            rem, digit = divmod(rem, s)
+            picks.append(digit)
     if index < 1 or rem:
         # from 2^64 on the order and the index are named by their size: O(100)
         # has about 1500 digits, and past 4300 Python refuses to print an integer
-        low = level_bits(kind, dim)
         top = group_order(kind, dim) if low < 64 else f"N, a group order N of at least 2^{low}"
         size = abs(index).bit_length()
         sign = "negative " if index < 0 else ""

@@ -280,10 +280,10 @@ def parse_stabilizer(text: str) -> Stabilizer:
     rows = [BitVec.from_string(ln) for ln in lines[1 : 1 + r]]
     sign = None
     for ln in lines[1 + r :]:
-        if ln.startswith("sign="):
-            sign = BitVec.from_string(ln[len("sign=") :])
-        else:
-            raise ValueError(f"unrecognized stabilizer line {ln!r}")
+        if sign is not None or not ln.startswith("sign="):
+            why = "repeated sign" if ln.startswith("sign=") else "unrecognized stabilizer"
+            raise ValueError(f"{why} line {ln!r}")
+        sign = BitVec.from_string(ln[len("sign=") :])
     return Stabilizer(IsotropicSubspace(n, tuple(rows)), sign)
 
 

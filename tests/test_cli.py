@@ -269,6 +269,12 @@ class TestStabEncode:
         code, out, err = run(capsys, "stab-encode")
         assert code == 1 and out == "" and message in err
 
+    def test_repeated_sign_line(self, capsys, monkeypatch):
+        # refused, not resolved by the last line
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=2 r=1\n1100\nsign=1000\nsign=0100\n"))
+        code, out, err = run(capsys, "stab-encode")
+        assert code == 1 and out == "" and "repeated sign line 'sign=0100'" in err
+
 
 class TestFrame:
     def test_exact_restricted_value_5(self, capsys):
@@ -315,13 +321,18 @@ class TestFrame:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "cap of 8192 bits" in err
 
-    @pytest.mark.parametrize("dim", ["200", "4000"])
-    def test_exact_budget_exits_quickly(self, capsys, dim):
+    @pytest.mark.parametrize(
+        "group, dim",
+        [("o", d) for d in ("8", "100", "128", "200", "4000")] + [("sp", "8"), ("sp", "100")],
+    )
+    def test_exact_budget_exits_quickly(self, capsys, group, dim):
         # the order is refused from bit lengths, never formed or printed
         start = time.perf_counter()
-        code, out, err = run(capsys, "frame", "--group", "o", "--dim", dim, "--t", "2", "--exact")
+        code, out, err = run(capsys, "frame", "--group", group, "--dim", dim, "--t", "2", "--exact")
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and out == "" and "exact-mode budget" in err and len(err) < 200
+        low = level_bits(cli._GROUPS[group], int(dim))
+        assert code == 1 and out == "" and len(err) < 200
+        assert f"group order of at least 2^{low} exceeds the exact-mode budget 10000000" in err
 
 
 def strict_json(text):

@@ -25,7 +25,9 @@ from pclifford.group import (
 from pclifford import batch
 from pclifford.batch import exact_histogram
 from pclifford.design import (
+    _EXACT_BUDGET,
     FixedPointProfile,
+    _exact_refusal,
     _orbit_generators,
     _potential,
     fixed_point_profile,
@@ -110,8 +112,8 @@ class TestFramePotential:
         assert rep.mode == "exact" and rep.restricted is False
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
-            # |O(8)| = 92,897,280 exceeds the budget of 10^7
+        # |O(8)| = 92,897,280 exceeds the budget of 10^7; level_bits says 2^25
+        with pytest.raises(ValueError, match=r"^group order of at least 2\^25 exceeds"):
             frame_potential("orthogonal", 8, 2)
 
     def test_monte_carlo_deterministic(self):
@@ -247,6 +249,24 @@ def test_exact_mode_admits_13_histograms_of_at_most_8_ints(monkeypatch):
                     pass
     assert sorted(asked) == sorted(EXACT_KEYS) and len(asked) == 13
     assert max(dim + 1 for _, dim, _ in asked) == 8
+
+
+@pytest.mark.parametrize("kind, step", [("orthogonal", 1), ("symplectic", 2)])
+def test_bit_bound_admits_exactly_the_orders_within_the_budget(kind, step):
+    """_exact_refusal decides from level_bits alone, never from the order."""
+    for dim in range(step, 65, step):
+        admitted = _exact_refusal(kind, dim, 2) is None
+        assert admitted == (group_order(kind, dim) <= _EXACT_BUDGET), dim
+
+
+@pytest.mark.parametrize("kind, dim, restricted", EXACT_KEYS)
+def test_exact_value_is_the_histogram_over_the_group_order(kind, dim, restricted):
+    """The value divides by the count the histogram enumerated, which must
+    be the group order."""
+    hist = exact_histogram(kind, dim, restricted)
+    for t in range(1, 7):
+        total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
+        assert exact_value(kind, dim, restricted, t) == Fraction(total, group_order(kind, dim))
 
 
 class TestHaarReference:

@@ -1,6 +1,8 @@
 """Orthogonal/symplectic sampling, Householder machinery, braid words."""
 
+import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from pclifford.group import (
     decompose_orthogonal,
     format_braid_word,
     group_order,
+    level_bits,
+    level_sizes,
     parse_braid_word,
     reflection_product,
     sample_orthogonal,
@@ -154,6 +158,11 @@ class TestGroupOrder:
                 "symplectic", 2 * n
             )
 
+    @pytest.mark.parametrize("kind, step", [("orthogonal", 1), ("symplectic", 2)])
+    def test_pairwise_product_is_the_product_of_the_level_sizes(self, kind, step):
+        for dim in [*range(step, 41, step), 258 - step, 258]:  # Sp: 256, not 257
+            assert group_order(kind, dim) == math.prod(level_sizes(kind, dim)), dim
+
     def test_errors(self):
         with pytest.raises(ValueError):
             group_order("symplectic", 3)
@@ -285,6 +294,29 @@ def test_out_of_range_index_is_named_by_its_size_from_2_to_the_64(sampler, index
     with pytest.raises(ValueError) as info:
         sampler(4, index)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "sampler, low", [(sample_orthogonal, 2095105), (sample_symplectic, 2097152)], ids=_param_id
+)
+def test_over_long_index_is_refused_before_any_division(sampler, low):
+    """|G| < 2^(level_bits + len(level_sizes)), so a longer index is out of
+    range without dividing it by the level sizes, which takes seconds here."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        sampler(2048, 1 << 4_000_000)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        f"index of 4000001 bits out of range 1..N, a group order N of at least 2^{low}"
+    )
+
+
+@pytest.mark.parametrize("kind, step", [("orthogonal", 1), ("symplectic", 2)])
+def test_the_last_index_is_within_the_bit_bound(kind, step):
+    """The bound that skips the divisions never skips an index in range."""
+    for dim in range(step, 41, step):
+        bound = level_bits(kind, dim) + len(level_sizes(kind, dim))
+        assert (group_order(kind, dim) - 1).bit_length() <= bound
 
 
 class TestDecomposeOrthogonal:

@@ -400,6 +400,11 @@ class TestTextFormat:
         stab = parse_stabilizer("n=2 r=1\n1100\nsign=0100\n")
         assert stab.sign_vector == bv("0100")
 
+    def test_repeated_sign_line(self):
+        # one sign line at most, as the header takes each key once
+        with pytest.raises(ValueError, match=r"^repeated sign line 'sign=0100'$"):
+            parse_stabilizer("n=2 r=1\n1100\nsign=1000\nsign=0100\n")
+
     def test_errors(self):
         with pytest.raises(ValueError):
             parse_stabilizer("")
