@@ -52,13 +52,11 @@ import itertools
 import json
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from ._bits import eta_swap, gather, row_parities, span_table
+from ._bits import gather, row_parities
 from .f2core import BitMatrix, rank_ints
 from .group import (
     OrthogonalMap,
@@ -173,8 +171,9 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # ---------------------------------------------------------------------------
 # the exponent stream and the potentials
 
-# e <= dim, so dim (t - 1) bounds the bits of every exact summand; 2^13
-# bits keep the exact value within the 4300 digits Python prints
+# e <= dim, so dim (t - 1) bounds the bits of every exact summand, as
+# points-bits x tuple order bounds those of every orbit size; 2^13 bits
+# keep each within the 4300 digits Python prints
 _EXACT_BITS = 1 << 13
 # group orders exact mode enumerates, judged by level_bits < 24, its bit
 # length: the order is at least 2^level_bits, and the two agree at every dim
@@ -328,31 +327,45 @@ def haar_frame_potential(t: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# orbits of the generator closure
+# orbits by Witt's theorem
+
+_TUPLE_CAP = 16  # the largest tuple order
+_ORBIT_CAP = 1 << 16  # the most orbits one list holds
 
 
-_TUPLE_BITS = 16  # at most 2^16 tuples, and a tuple order of at most 16
+def _subspaces(k: int, d: int) -> int:
+    """[k d]_2, the d-dimensional subspaces of F2^k; 0 for d outside 0..k."""
+    if not 0 <= d <= k:
+        return 0
+    num = math.prod((1 << (k - i)) - 1 for i in range(d))
+    return num // math.prod((2 << i) - 1 for i in range(d))
 
 
-# orbit_decomposition asks only below the tuple cap, at most 26 (group, dim)
-@lru_cache(maxsize=None)
-def _orbit_generators(group: str, dim: int) -> tuple[tuple[int, ...], ...]:
-    """The generators orbit_decomposition acts with, each as its columns:
-    entry b is the image of the label 1 << b.  Its docstring says why
-    they generate the group."""
-    if group == "symplectic":
-        # T_a = (eta a, a) for x_1, z_1 and z_1 + z_2; the shift moves one pair
-        pairs = [(eta_swap(a, dim), a) for a in (2, 1, 5) if a >> dim == 0]
-        step = 2
-    else:
-        # h_a = (a, a) for e_1 + e_2 and, past 3 labels, 1111; the shift: one label
-        pairs = [(a, a) for a in (3, 15) if a >> dim == 0]
-        step = 1
-    # the rank-one pair (u, h) maps p to p + (u^T p) h
-    gens = [tuple((1 << b) ^ (h if u >> b & 1 else 0) for b in range(dim)) for u, h in pairs]
-    if dim > 2:  # the cycle: at 2 labels it is the identity or tau itself
-        gens.append(tuple(1 << (b + step) % dim for b in range(dim)))
-    return tuple(gens)
+def _alternating_forms(m: int, s: int) -> int:
+    """A(m, 2s), the alternating forms of rank 2s on F2^m."""
+    num = math.prod((1 << (m - i)) - 1 for i in range(2 * s)) << (s * (s - 1))
+    return num // math.prod((4 << 2 * i) - 1 for i in range(s))
+
+
+def _embeddings(n: int, m: int, s: int) -> int:
+    """The isometric embeddings into F2^(2n) of a form of rank 2s on F2^m."""
+    pairs = math.prod(((1 << 2 * (n - i)) - 1) << (2 * (n - i) - 1) for i in range(s))
+    free = 2 * (n - s)
+    return pairs * math.prod((1 << (free - i)) - (1 << i) for i in range(m - 2 * s))
+
+
+def _witt_classes(n: int, k: int, first_nonzero: bool = False) -> list[tuple[int, int]]:
+    """(size, count) of the Sp(2n) orbits on k-tuples, one pair per
+    relation codimension m and form rank 2s with m - s <= n; with
+    first_nonzero only the tuples whose first entry is nonzero, whose
+    relation spaces avoid e_1."""
+    classes = []
+    for m in range(k + 1):
+        d = k - m  # the dimension of the relation space
+        kernels = _subspaces(k, d) - (_subspaces(k - 1, d - 1) if first_nonzero else 0)
+        for s in range(max(m - n, 0), m // 2 + 1):
+            classes.append((_embeddings(n, m, s), kernels * _alternating_forms(m, s)))
+    return classes
 
 
 def orbit_decomposition(
@@ -360,41 +373,48 @@ def orbit_decomposition(
 ) -> list[int]:
     """Sorted orbit sizes of the group on (space)^tuple_order.
 
-    The orthogonal group is the closure of the weight-2/4 reflections
-    h_a = I + a a^T, the symplectic group that of all nonzero
-    transvections T_a = I + a (eta a)^T.  The even quotient is the even
-    labels modulo the all-ones vector j; the symplectic group does not
-    act on it (transvections move j), so that combination is rejected.
+    The orthogonal group O(N) preserves the dot form on F2^N, the
+    symplectic group Sp(2n) the pair form.  The even quotient is the
+    even labels modulo the all-ones vector j; the symplectic group does
+    not act on it (transvections move j), so that combination is
+    rejected.
 
-    The orbits depend only on the group, so a generating set of constant
-    size serves.  O(N) takes tau = h_(e_1 + e_2), the N-cycle sigma of
-    the labels and, for N >= 4, h_1111: sigma^m tau sigma^-m is the
-    adjacent transposition h_(e_(m+1) + e_(m+2)), the transpositions
-    give every permutation P, and P h_a P^-1 = h_(Pa) makes every
-    weight-4 reflection a conjugate of h_1111.  Sp(2n) takes the
-    transvections of x_1, z_1 and z_1 + z_2 and, for n >= 2, the cyclic
-    shift c of the n qubit pairs, symplectic since it permutes the
-    pairs: c^m T_a c^-m = T_(c^m a) gives x_k, z_k and z_k + z_(k+1)
-    for every k, whose closure is transitive on the nonzero labels, and
-    g T_a g^-1 = T_(ga) then gives every transvection.  So O(N) needs at
-    most 3 generators and Sp(2n) at most 4; the tests certify both sets
-    by closure size and by these conjugates.
+    Every count comes from Witt's theorem for Sp(2n), by which an
+    isometry between subspaces extends to the whole space.  A k-tuple
+    is a linear map F2^k -> F2^(2n); its orbit is fixed by the relation
+    space K (the kernel, of codimension m) and the alternating form of
+    rank 2s that it induces on F2^k / K.  Such a form embeds iff
+    m - s <= n, and there are [k m]_2 A(m, 2s) orbits of each (m, s),
+    with A(m, 2s) = prod_(i<s) 4^i / (4^(i+1) - 1) x prod_(i<2s)
+    (2^(m-i) - 1) the forms of that rank (MacWilliams, Amer. Math.
+    Monthly 1969).  Each orbit holds the isometric embeddings of its
+    form: prod_(i<s) (4^(n-i) - 1) 2^(2(n-i)-1) ways to place the s
+    hyperbolic pairs one after the other, times prod_(i<m-2s)
+    (2^(2(n-s)-i) - 2^i) ways to place the m - 2s radical vectors, each
+    independent of and orthogonal to the earlier ones, in the 2(n - s)
+    dimensions the pairs leave.  The other cases reduce to this one:
 
-    A point is an index: in the full space the label itself; in the even
-    quotient the low dim - 2 bits of the one label of its class with
-    bit dim - 1 clear (bit dim - 2 is then their parity).  A generator
-    is linear on the points, so its image of every point comes from its
-    columns by doubling (_bits.span_table); in the quotient column k is
-    the image of the label with bits k and dim - 2, read back as a
-    point.  Each generator permutes the tuples, so an orbit is what a
-    search along the generator images reaches from any one of its
-    tuples; a bytearray marks the tuples seen, and the images of each
-    generator are one array of tuple indices.
+    - O(2n + 1) fixes j, and acts on the even labels, where the dot form
+      is alternating, as Sp(2n): the Sp(2n) orbits, each once per choice
+      of the k bits of j.
+    - O(2n) on the even quotient acts as Sp(2n - 2) (quotient_action).
+    - O(2n) is the stabilizer in O(2n + 1) of e_(2n+1), so in Sp(2n) of
+      its even part, and v -> v + |v| j makes F2^(2n) the even labels of
+      F2^(2n+1): its orbits are the Sp(2n) orbits of (k + 1)-tuples
+      whose first entry is nonzero, [k+1 d]_2 - [k d-1]_2 relation
+      spaces of each dimension d, and each size is divided by the
+      4^n - 1 nonzero labels.
 
-    One limit bounds the work, and a request beyond it raises
-    ValueError before anything is enumerated: at most 2^16 tuples and a
-    tuple order of at most 16.  With at most 4 generators that is at
-    most 2^18 steps of the search.
+    Orbit counting of this kind gives the frame potentials of Clifford
+    groups (Zhu, Kueng, Grassl, Gross, arXiv:1609.08172; Gross, Nezami,
+    Walter, arXiv:1712.08628); the number of orbits on (t-1)-tuples is
+    the t-th frame potential.
+
+    Every argument is checked before three limits, and a request beyond
+    one raises ValueError before any list is built: a tuple order of at
+    most 16; a points-bits x tuple order of at most 8192 (_EXACT_BITS),
+    which bounds every size by 2^8192 so that it prints in full; and at
+    most 2^16 orbits, counted from the multiplicities.
     """
     level_bits(group, dim)  # validates group and dim
     if tuple_order < 1:
@@ -403,47 +423,33 @@ def orbit_decomposition(
         raise ValueError(f"unknown space {space!r}")
     if space == "even_quotient" and dim % 2:
         raise ValueError("even quotient needs even dimension")
-    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
-    if max(bits, 1) * tuple_order > _TUPLE_BITS:  # one point: order <= 16
-        raise ValueError(
-            f"{tuple_order}-tuples of 2^{bits} points exceed the tuple cap "
-            f"(at most 2^{_TUPLE_BITS} tuples and tuple order {_TUPLE_BITS})"
-        )
     if group == "symplectic" and space == "even_quotient":
         raise ValueError("the symplectic group does not act on the even quotient")
-    j = (1 << dim) - 1
-    npts = 1 << bits
-    total = npts**tuple_order
-    images = []
-    for cols in _orbit_generators(group, dim):
-        if space == "even_quotient":
-            # the image of the label with bits k and dim - 2; adding j
-            # clears bit dim - 1, and the low bits are its point
-            cols = [
-                (v ^ j if v >> (dim - 1) else v) & (npts - 1)
-                for v in (c ^ cols[-2] for c in cols[:-2])
-            ]
-        img = span_table(cols)  # the image of each point
-        # tuple index: the first position is the least significant digit
-        timg = img
-        for _ in range(tuple_order - 1):
-            timg = [d + npts * r for r in timg for d in img]
-        images.append(array("l", timg))
-    seen = bytearray(total)
+    if tuple_order > _TUPLE_CAP:
+        raise ValueError(f"tuple order {tuple_order} exceeds the cap of {_TUPLE_CAP}")
+    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
+    if bits * tuple_order > _EXACT_BITS:
+        raise ValueError(
+            f"{tuple_order}-tuples of 2^{bits} points take {bits * tuple_order} bits, "
+            f"past the cap of {_EXACT_BITS} bits per orbit size"
+        )
+    n, k = dim // 2, tuple_order
+    if group == "symplectic":
+        classes = _witt_classes(n, k)
+    elif space == "even_quotient":
+        classes = _witt_classes(n - 1, k)
+    elif dim % 2:
+        classes = [(size, count << k) for size, count in _witt_classes(n, k)]
+    else:
+        labels = (1 << 2 * n) - 1  # the nonzero labels, one Sp(2n) orbit
+        classes = [(size // labels, count) for size, count in _witt_classes(n, k + 1, True)]
+    total = sum(count for _, count in classes)
+    if total > _ORBIT_CAP:
+        raise ValueError(f"{total} orbits exceed the cap of 2^16 orbits per list")
     sizes = []
-    start = 0
-    while start >= 0:  # the first tuple not yet seen starts the next orbit
-        seen[start] = 1
-        orbit = [start]
-        for x in orbit:  # the loop reaches the tuples it appends
-            for img in images:
-                y = img[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
-        sizes.append(len(orbit))
-        start = seen.find(0, start + 1)
-    return sorted(sizes)
+    for size, count in sorted(classes):
+        sizes += [size] * count
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -402,11 +402,14 @@ class TestOrbits:
         )
         assert code == 0 and json.loads(out)["sizes"] == [1, 3]
 
-    def test_symplectic_quotient_rejected(self, capsys):
-        code, _, _ = run(
-            capsys, "orbits", "--group", "sp", "--dim", "4", "--space", "even-quotient"
+    @pytest.mark.parametrize("dim", ["4", "64"])
+    def test_symplectic_quotient_rejected(self, capsys, dim):
+        """The argument error, not a size limit, at every dimension."""
+        code, out, err = run(
+            capsys, "orbits", "--group", "sp", "--dim", dim, "--space", "even-quotient"
         )
-        assert code == 1
+        assert code == 1 and out == ""
+        assert "the symplectic group does not act on the even quotient" in err
 
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_dimension_must_be_positive(self, capsys, dim):
@@ -418,7 +421,10 @@ class TestOrbits:
         [
             ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "10000000"),
             ("--group", "o", "--dim", "4", "--tuple-order", "100000000"),
-            ("--group", "sp", "--dim", "18"),
+            ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "17"),
+            ("--group", "sp", "--dim", "4096", "--tuple-order", "3"),  # 12288 bits
+            ("--group", "sp", "--dim", "64", "--tuple-order", "6"),  # 151470 orbits
+            ("--group", "o", "--dim", str(2**70)),
         ],
     )
     def test_oversize_request_exits_quickly(self, capsys, argv):
@@ -426,12 +432,28 @@ class TestOrbits:
         code, out, err = run(capsys, "orbits", *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert "cap" in err or "budget" in err
+        assert "cap" in err
         assert len(err) < 200  # names the limit, not a giant tuple count
 
-    def test_request_at_the_tuple_cap_answers(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--group", "sp", "--dim", "16")
-        assert code == 0 and json.loads(out)["sizes"] == [1, 65535]
+    @pytest.mark.parametrize("dim", ["16", "18"])
+    def test_single_labels_past_the_old_tuple_cap_answer(self, capsys, dim):
+        code, out, _ = run(capsys, "orbits", "--group", "sp", "--dim", dim)
+        assert code == 0 and json.loads(out)["sizes"] == [1, (1 << int(dim)) - 1]
+
+    @pytest.mark.parametrize(
+        "dim, k, count",
+        [
+            (64, 2, 6),
+            (4096, 2, 6),  # 8192 bits per pair: the largest sizes
+            (1024, 5, 4590),  # 5120 bits: the most orbits at 1024 labels
+        ],
+    )
+    def test_largest_accepted_requests_print_valid_json(self, capsys, dim, k, count):
+        argv = ("orbits", "--group", "sp", "--dim", str(dim), "--tuple-order", str(k))
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == len(payload["sizes"]) == count
+        assert sum(payload["sizes"]) == 1 << (dim * k)
 
 
 class TestVerify:

@@ -5,17 +5,20 @@ import itertools
 import json
 import math
 import random
+import re
 import time
+from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 
 import pytest
 
-from pclifford._bits import eta_swap
+from pclifford._bits import eta_swap, span_table
 from pclifford.f2core import BitMatrix, BitVec, parse_matrix
 from pclifford.group import (
+    LABEL_CAP,
     OrthogonalMap,
     group_order,
     sample_orthogonal,
@@ -25,10 +28,10 @@ from pclifford.group import (
 from pclifford import batch
 from pclifford.batch import exact_histogram
 from pclifford.design import (
+    _EXACT_BITS,
     _EXACT_BUDGET,
     FixedPointProfile,
     _exact_refusal,
-    _orbit_generators,
     _potential,
     fixed_point_profile,
     frame_potential,
@@ -37,6 +40,7 @@ from pclifford.design import (
     parity_frame_potential,
     quotient_action,
 )
+from test_golden import _witt_count
 
 
 def brute_profile(S):
@@ -417,6 +421,161 @@ def _reference_cases():
 REFERENCE_CASES = list(_reference_cases())
 
 
+# ---------------------------------------------------------------------------
+# the search orbit_decomposition ran before the closed form: orbits of a
+# generating set of constant size, found breadth first over every tuple
+
+@lru_cache(maxsize=None)
+def orbit_generators(group: str, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The generators the search acts with, each as its columns: entry b
+    is the image of the label 1 << b.
+
+    O(N) takes tau = h_(e_1 + e_2), the N-cycle sigma of the labels and,
+    for N >= 4, h_1111: sigma^m tau sigma^-m is the adjacent
+    transposition h_(e_(m+1) + e_(m+2)), the transpositions give every
+    permutation P, and P h_a P^-1 = h_(Pa) makes every weight-4
+    reflection a conjugate of h_1111.  Sp(2n) takes the transvections of
+    x_1, z_1 and z_1 + z_2 and, for n >= 2, the cyclic shift c of the n
+    qubit pairs: c^m T_a c^-m = T_(c^m a) gives x_k, z_k and
+    z_k + z_(k+1) for every k, whose closure is transitive on the
+    nonzero labels, and g T_a g^-1 = T_(ga) then gives every
+    transvection.  The tests below certify both sets by closure size and
+    by these conjugates.
+    """
+    if group == "symplectic":
+        # T_a = (eta a, a) for x_1, z_1 and z_1 + z_2; the shift moves one pair
+        pairs = [(eta_swap(a, dim), a) for a in (2, 1, 5) if a >> dim == 0]
+        step = 2
+    else:
+        # h_a = (a, a) for e_1 + e_2 and, past 3 labels, 1111; the shift: one label
+        pairs = [(a, a) for a in (3, 15) if a >> dim == 0]
+        step = 1
+    # the rank-one pair (u, h) maps p to p + (u^T p) h
+    gens = [tuple((1 << b) ^ (h if u >> b & 1 else 0) for b in range(dim)) for u, h in pairs]
+    if dim > 2:  # the cycle: at 2 labels it is the identity or tau itself
+        gens.append(tuple(1 << (b + step) % dim for b in range(dim)))
+    return tuple(gens)
+
+
+def search_orbit_decomposition(
+    dim: int, tuple_order: int, group: str, space: str = "full"
+) -> list[int]:
+    """Sorted orbit sizes of orbit_generators on (space)^tuple_order, for
+    at most 2^16 tuples.
+
+    A point is an index: in the full space the label itself; in the even
+    quotient the low dim - 2 bits of the one label of its class with
+    bit dim - 1 clear (bit dim - 2 is then their parity).  A generator
+    is linear on the points, so its image of every point comes from its
+    columns by doubling (_bits.span_table); in the quotient column k is
+    the image of the label with bits k and dim - 2, read back as a
+    point.  Each generator permutes the tuples, so an orbit is what a
+    search along the generator images reaches from any one of its
+    tuples.
+    """
+    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
+    assert max(bits, 1) * tuple_order <= _TUPLE_BITS
+    j = (1 << dim) - 1
+    npts = 1 << bits
+    images = []
+    for cols in orbit_generators(group, dim):
+        if space == "even_quotient":
+            # the image of the label with bits k and dim - 2; adding j
+            # clears bit dim - 1, and the low bits are its point
+            cols = [
+                (v ^ j if v >> (dim - 1) else v) & (npts - 1)
+                for v in (c ^ cols[-2] for c in cols[:-2])
+            ]
+        img = span_table(cols)  # the image of each point
+        # tuple index: the first position is the least significant digit
+        timg = img
+        for _ in range(tuple_order - 1):
+            timg = [d + npts * r for r in timg for d in img]
+        images.append(array("l", timg))
+    seen = bytearray(npts**tuple_order)
+    sizes = []
+    start = 0
+    while start >= 0:  # the first tuple not yet seen starts the next orbit
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the loop reaches the tuples it appends
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        sizes.append(len(orbit))
+        start = seen.find(0, start + 1)
+    return sorted(sizes)
+
+
+def _search_cases():
+    """Every request the search answered: Sp(2..16) and O(1..16) on the
+    full space and O(2..18) on the even quotient, up to 2^16 tuples."""
+    spaces = [
+        ("symplectic", "full", range(2, 17, 2)),
+        ("orthogonal", "full", range(1, 17)),
+        ("orthogonal", "even_quotient", range(2, 19, 2)),
+    ]
+    for group, space, dims in spaces:
+        for dim in dims:
+            bits = dim - 2 if space == "even_quotient" else dim
+            for k in range(1, 17):
+                if max(bits, 1) * k <= _TUPLE_BITS:
+                    yield group, dim, space, k
+
+
+SEARCH_CASES = list(_search_cases())
+
+
+def witt_orbit_count(group: str, dim: int, space: str, k: int) -> int:
+    """The number of orbits on k-tuples from test_golden's _witt_count,
+    F_(k+1) of Sp(2n): O(2n + 1) is Sp(2n) with k free bits of j, O(2n)
+    the (k + 1)-tuples of Sp(2n) with a nonzero first entry, and the even
+    quotient of O(2n) is acted on as Sp(2n - 2)."""
+    n = dim // 2
+    if group == "symplectic":
+        return _witt_count(n, k + 1)
+    if space == "even_quotient":
+        return _witt_count(n - 1, k + 1)
+    if dim % 2:
+        return 2**k * _witt_count(n, k + 1)
+    return _witt_count(n, k + 2) - _witt_count(n, k + 1)
+
+
+def check_orbit_sizes(group: str, dim: int, space: str, k: int, sizes: list[int]):
+    """The sizes sum to the tuple count, each divides the group order (up
+    to LABEL_CAP, past which group_order builds no level sizes), and
+    there are as many as the Witt count says."""
+    bits = dim - 2 if space == "even_quotient" else dim
+    assert sum(sizes) == 1 << (bits * k)
+    if dim <= LABEL_CAP:
+        order = group_order(group, dim)
+        assert all(order % size == 0 for size in set(sizes))
+    assert len(sizes) == witt_orbit_count(group, dim, space, k)
+
+
+def _large_cases():
+    """Every tuple order each (group, space) admits at 64 to 4096 labels:
+    at most 8192 bits per tuple and at most 2^16 orbits."""
+    for dim in (64, 65, 1024, 4095, 4096):
+        for group, space in [
+            ("symplectic", "full"),
+            ("orthogonal", "full"),
+            ("orthogonal", "even_quotient"),
+        ]:
+            if dim % 2 and (group, space) != ("orthogonal", "full"):
+                continue
+            bits = dim - 2 if space == "even_quotient" else dim
+            k = 1
+            while bits * k <= _EXACT_BITS and witt_orbit_count(group, dim, space, k) <= 1 << 16:
+                yield group, dim, space, k
+                k += 1
+
+
+LARGE_CASES = list(_large_cases())
+
+
 class TestOrbits:
     def test_orthogonal_4_orbits(self):
         sizes = orbit_decomposition(4, 1, "orthogonal")
@@ -428,8 +587,6 @@ class TestOrbits:
         assert orbit_decomposition(6, 1, "orthogonal") == [1, 1, 30, 32]
 
     def test_symplectic_transitive_on_nonzero(self):
-        """With g T_a g^-1 = T_(ga), this makes every transvection a
-        conjugate of a generator: the generating set is certified."""
         for dim in range(2, 17, 2):
             assert orbit_decomposition(dim, 1, "symplectic") == [1, (1 << dim) - 1]
 
@@ -451,7 +608,7 @@ class TestOrbits:
             orbit_decomposition(4, 1, "symplectic", "even_quotient")
         with pytest.raises(ValueError):
             orbit_decomposition(4, 1, "dihedral")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="orbits exceed"):
             orbit_decomposition(4, 9, "orthogonal")
         with pytest.raises(ValueError):
             orbit_decomposition(5, 1, "orthogonal", "even_quotient")
@@ -473,26 +630,64 @@ class TestOrbits:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             orbit_decomposition(dim, 1, "orthogonal")
 
+    @pytest.mark.parametrize("dim", [4, 64])
+    @pytest.mark.parametrize("k", [1, 6, 17])
+    @pytest.mark.parametrize(
+        "group, space, odd, message",
+        [
+            ("symplectic", "even_quotient", 0, "the symplectic group does not act on the even quotient"),
+            ("orthogonal", "even_quotient", 1, "even quotient needs even dimension"),
+            ("orthogonal", "x", 0, "unknown space 'x'"),
+        ],
+    )
+    def test_argument_errors_come_before_the_limits(self, dim, k, group, space, odd, message):
+        """At 64 labels every tuple order here is past a limit too."""
+        with pytest.raises(ValueError) as info:
+            orbit_decomposition(dim + odd, k, group, space)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "dim, k, group, space, message",
+        [
+            (2, 17, "orthogonal", "even_quotient", "tuple order 17 exceeds the cap of 16"),
+            (1, 17, "orthogonal", "full", "tuple order 17 exceeds the cap of 16"),
+            (4096, 3, "symplectic", "full", "take 12288 bits, past the cap of 8192"),
+            (8193, 1, "orthogonal", "full", "take 8193 bits, past the cap of 8192"),
+            (64, 6, "symplectic", "full", "151470 orbits exceed the cap of 2^16"),
+            (64, 5, "orthogonal", "full", "146880 orbits exceed the cap of 2^16"),
+        ],
+    )
+    def test_work_limits(self, dim, k, group, space, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            orbit_decomposition(dim, k, group, space)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize(
         "dim, k, group, space",
         [
-            (2, 17, "orthogonal", "even_quotient"),  # one point, tuple order > 16
-            (4, 5, "orthogonal", "full"),  # 2^20 tuples
+            (4, 5, "orthogonal", "full"),  # 2^20 tuples, past the search
             (8, 3, "symplectic", "full"),  # 2^24 tuples
+            (1, 16, "orthogonal", "full"),  # exactly 2^16 orbits
+            (8192, 1, "symplectic", "full"),  # 8192 bits
+            (8194, 1, "orthogonal", "even_quotient"),
         ],
     )
-    def test_work_limits(self, dim, k, group, space):
-        with pytest.raises(ValueError, match=r"2\^16"):
-            orbit_decomposition(dim, k, group, space)
+    def test_requests_past_the_search_are_answered(self, dim, k, group, space):
+        check_orbit_sizes(group, dim, space, k, orbit_decomposition(dim, k, group, space))
+
+    def test_orthogonal_4_five_tuples_give_the_exact_potential(self):
+        assert len(orbit_decomposition(4, 5, "orthogonal")) == frame_potential("orthogonal", 4, 6).value
 
     @pytest.mark.parametrize(
         "dim, group, space",
         [
-            (18, "orthogonal", "even_quotient"),  # 2^16 points, 18 generators
-            (16, "symplectic", "full"),  # 2^16 points, 23 generators
+            (18, "orthogonal", "even_quotient"),  # 2^16 points
+            (16, "symplectic", "full"),
         ],
     )
-    def test_single_labels_at_the_tuple_cap(self, dim, group, space):
+    def test_single_labels_at_the_old_tuple_cap(self, dim, group, space):
         start = time.perf_counter()
         assert orbit_decomposition(dim, 1, group, space) == [1, 65535]
         assert time.perf_counter() - start < 2.0
@@ -505,7 +700,7 @@ class TestOrbits:
         """Each generator preserves the form, so a closure of the group's
         order is the group."""
         identity = tuple(1 << i for i in range(dim))  # the images of the basis
-        gens = _orbit_generators(group, dim)
+        gens = orbit_generators(group, dim)
         tables = [[map_label(cols, p) for p in range(1 << dim)] for cols in gens]
         closure, stack = {identity}, [identity]
         while stack:
@@ -523,11 +718,11 @@ class TestOrbits:
         + [("symplectic", dim) for dim in range(2, 17, 2)],
     )
     def test_generators_preserve_the_form_and_conjugate_to_the_linear_size_set(self, group, dim):
-        """Every size up to the tuple cap: each generator preserves the
+        """Every size the search reaches: each generator preserves the
         form, and each generator of the linear-size set (adjacent
         transpositions and h_1111; transvections of x_k, z_k and
         z_k + z_(k+1)) is a cycle-power conjugate of one of them."""
-        gens = _orbit_generators(group, dim)
+        gens = orbit_generators(group, dim)
         if group == "orthogonal":
             assert len(gens) <= 3
             form = lambda a, b: (a & b).bit_count() & 1
@@ -557,6 +752,14 @@ class TestOrbits:
             rank_one = tuple((1 << b) ^ (h if u >> b & 1 else 0) for b in range(dim))
             assert rank_one in conjugates, (u, h)
 
+    def test_the_search_answered_106_requests(self):
+        assert len(SEARCH_CASES) == 106
+
+    @pytest.mark.parametrize("group, dim, space, k", SEARCH_CASES)
+    def test_matches_the_generator_search(self, group, dim, space, k):
+        want = search_orbit_decomposition(dim, k, group, space)
+        assert orbit_decomposition(dim, k, group, space) == want
+
     @pytest.mark.parametrize(
         "n, k",
         [(n, k) for n in range(1, 9) for k in range(1, 17) if 2 * n * k <= 16],
@@ -570,6 +773,25 @@ class TestOrbits:
     def test_matches_the_reference(self, group, dim, space, k):
         want = ref_orbit_decomposition(dim, k, group, space)
         assert orbit_decomposition(dim, k, group, space) == want
+
+    @pytest.mark.parametrize("group, dim, space, k", LARGE_CASES)
+    def test_sizes_past_the_search_match_the_witt_count(self, group, dim, space, k):
+        check_orbit_sizes(group, dim, space, k, orbit_decomposition(dim, k, group, space))
+
+    @pytest.mark.parametrize("group, dim, space", sorted({case[:3] for case in LARGE_CASES}))
+    def test_the_first_tuple_order_past_the_limits_is_refused(self, group, dim, space):
+        k = max(case[3] for case in LARGE_CASES if case[:3] == (group, dim, space))
+        with pytest.raises(ValueError, match="cap"):
+            orbit_decomposition(dim, k + 1, group, space)
+
+    @pytest.mark.parametrize("kind, dim, restricted", EXACT_KEYS)
+    def test_orbit_counts_are_the_exact_potentials(self, kind, dim, restricted):
+        """F_t counts the orbits on (t - 1)-tuples (Burnside); the
+        parity-restricted potential counts them on the even quotient."""
+        space = "even_quotient" if restricted else "full"
+        for t in range(2, 6):
+            orbits = orbit_decomposition(dim, t - 1, kind, space)
+            assert len(orbits) == exact_value(kind, dim, restricted, t), t
 
 
 def quotient_fibers(dim):

@@ -11,6 +11,7 @@ import io
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -189,7 +190,7 @@ def test_symplectic_order_matches_closed_form(dim):
 # ---------------------------------------------------------------------------
 # exact potentials, the order of the Monte Carlo float sums and orbit sizes,
 # pinned on the implementation that computed each mode in its own loop; the
-# O(8) pair orbits fill the tuple cap of 2^16 tuples
+# orbit sizes were read from the search over all 2^16 O(8) label pairs
 
 EXACT_POTENTIALS = {
     ("orthogonal", 1, False): ("1", "2", "4", "8"),
@@ -242,6 +243,30 @@ def _alternating_form_ranks(m: int) -> Counter:
     return ranks
 
 
+def _forms_of_rank(m: int, rank: int) -> int:
+    """The alternating forms of the given rank on F2^m by MacWilliams'
+    product, prod_(i<s) 4^i / (4^(i+1) - 1) x prod_(i<2s) (2^(m-i) - 1)
+    for rank 2s; none of odd rank."""
+    if rank % 2 or rank > m:
+        return 0
+    s = rank // 2
+    count = Fraction(1)
+    for i in range(s):
+        count *= Fraction(4**i, 4 ** (i + 1) - 1)
+    for i in range(rank):
+        count *= 2 ** (m - i) - 1
+    assert count.denominator == 1
+    return int(count)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_form_rank_product_matches_enumeration(m):
+    want = _alternating_form_ranks(m)
+    assert {rank: _forms_of_rank(m, rank) for rank in range(m + 1)} == {
+        rank: want[rank] for rank in range(m + 1)
+    }
+
+
 def _witt_count(n: int, t: int) -> int:
     """F_t of Sp(2n) as the number of orbits on (t-1)-tuples of labels.
 
@@ -251,10 +276,10 @@ def _witt_count(n: int, t: int) -> int:
     iff m - s <= n.
     """
     return sum(
-        _gaussian_binomial(t - 1, m) * count
+        _gaussian_binomial(t - 1, m) * _forms_of_rank(m, 2 * s)
         for m in range(t)
-        for rank, count in _alternating_form_ranks(m).items()
-        if m - rank // 2 <= n
+        for s in range(m // 2 + 1)
+        if m - s <= n
     )
 
 
