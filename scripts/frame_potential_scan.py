@@ -1,10 +1,12 @@
-"""Exact frame potential scan across the small enumerable groups.
+"""Exact frame potential scan across a few small groups.
 
 Tabulates the plain orthogonal potential, the parity-restricted one, the
 symplectic potential on half the modes, and the Haar reference.  The
 headline facts are visible directly in the rows: the restricted
 orthogonal column at 2n matches the symplectic column at 2n-2 for every
-t, and at dim 4 the t=4 entry is 15 against the Haar 14.
+t, and at dim 4 the t=4 entry is 15 against the Haar 14.  Exact mode
+counts orbits in closed form at every size; these dims keep the table
+short.
 """
 
 import argparse

@@ -18,9 +18,9 @@ Layers, bottom up:
 - design: fixed-point profiles, frame potentials, orbit counts, the
   quotient embedding.
 - batch: numpy batches of the group builders, the rank and the
-  fixed-point exponent for up to 64 labels, and the exact histogram of
-  exponents from a tree of shared prefixes; design loads it with its
-  first potential, so importing the package does not load numpy.
+  fixed-point exponent for up to 64 labels; design loads it with its
+  first Monte Carlo potential, so importing the package does not load
+  numpy.
 
 The package exports the __all__ lists of f2core, strings, group,
 stabilizer and design, and nothing else.

@@ -7,10 +7,7 @@ for rows of at most 64 bits, which fit a uint64:
   group.random_draws, the same draws as rng.randrange, as uint64;
 - group_rows_batch: group.group_rows, one loop over group.levels;
 - rank_batch: f2core.rank_ints, by the same leading-bit echelon;
-- exponents: design._exponent, the fixed-point exponent of an element;
-- exact_histogram: the exponents of every element of a group, counted;
-  memoized for the life of the process, and returned as a tuple, so no
-  caller can change a cached count.
+- exponents: design._exponent, the fixed-point exponent of an element.
 
 __all__ holds what design calls; the builders and the rank are reached
 through them and tested on their own.
@@ -26,33 +23,29 @@ A level is split in two.  One vector function per group computes the
 level's vectors from its picks: the reflections (a, b) for O(N), the
 four transvections as rows (eta h, h) for Sp, zero where fewer are
 needed.  One apply step then makes the level's rank-one updates, one
-_rank_one call each, so no update's temporaries outlive it.  A random
-batch runs it on a (k, B) array, one vector per element; exact_histogram
-walks the group as a tree of shared prefixes on (k, states, picks)
-arrays, with the states broadcast along the picks and the vectors along
-the states, so neither is copied.
+_rank_one call each, so no update's temporaries outlive it, on a (k, B)
+array with one vector per element.
 
 A random batch reads its small levels from tables memoized for the
 process, each at most _TABLE_PICKS = 4096 columns.  Levels 2..m build
 the group of m labels on the bottom m rows, whatever dim is; where that
 group has at most 4096 elements, one index into a table of all of them
-replaces those levels.  The table is the exact tree's output, level 2
-varying slowest and within a level the first entry, so the index is the
-picks of levels 2..m in mixed radix.  These are O(5) and Sp(4), 720
-elements each, 28.8 kB and 23 kB; a smaller group is read whole.  Above
-m, the vectors depend on the group, the level k and the picks, never on
-dim, so a level of at most 4096 picks reads them from a table of the
-vector function on every pick, with one fancy index: O(N) levels
-6..13 and Sp level 6, 9 tables and about 260 kB.  Larger levels compute
-their vectors per batch.  The exact tree reads the same tables whole:
-every level the exact budget admits has at most 2016 picks (Sp(6) level
-6).  Both steps take the levels, the entries each reads and their
-radices from group.levels and group.level_sizes, and the vector
-function from a table keyed by kind, so nothing here branches on the
-kind of group.
+replaces those levels.  The table is one batch of every pick list of
+those levels, level 2 varying slowest and within a level the first
+entry, so the index is the picks of levels 2..m in mixed radix.  These
+are O(5) and Sp(4), 720 elements each, 28.8 kB and 23 kB; a smaller
+group is read whole.  Above m, the vectors depend on the group, the
+level k and the picks, never on dim, so a level of at most 4096 picks
+reads them from a table of the vector function on every pick, with one
+fancy index: O(N) levels 6..13 and Sp level 6, 9 tables and about 260
+kB.  Larger levels compute their vectors per batch.  Both steps take
+the levels, the entries each reads and their radices from group.levels
+and group.level_sizes, and the vector function from a table keyed by
+kind, so nothing here branches on the kind of group.
 
-design loads this module on its first potential, so importing the
-package neither compiles it nor loads numpy.
+design loads this module on its first Monte Carlo potential, so
+importing the package, and exact mode, neither compile it nor load
+numpy.
 """
 
 from __future__ import annotations
@@ -66,12 +59,8 @@ import numpy as np
 from ._bits import eta_swap
 from .group import group_order, level_sizes, levels, random_draws
 
-__all__ = ["random_picks", "exponents", "exact_histogram"]
+__all__ = ["random_picks", "exponents"]
 
-# elements per block of the exact tree, at least the 2016 picks of its
-# largest level (Sp(6) level 6); cold walks of O(6), O(7) and Sp(6) were
-# faster at 2048 than at 1024 (O(N) only) or 4096
-_CHUNK = 2048
 # the bottom levels whose group has at most this many elements read one
 # table of that group (O(5), Sp(4)); a level above them with at most this
 # many picks reads its vectors from a table of every pick (O(N) levels
@@ -104,10 +93,17 @@ def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
         entries = [e for _, level_entries in low for e in level_entries]
         index = _mixed_radix([picks[e] for e in entries], [sizes[e] for e in entries])
         rows[dim - m :] = _subgroup_table(kind, m)[:, index]
-    for k, entries in table[len(low) :]:
-        radices = tuple(sizes[e] for e in entries)
-        _apply(rows[dim - k :], *_level_vectors(kind, k, radices, [picks[e] for e in entries]))
+    _build_levels(rows, kind, table[len(low) :], sizes, picks)
     return rows
+
+
+def _build_levels(rows: np.ndarray, kind: str, table, sizes: list[int], picks) -> None:
+    """The levels of table on a (dim, B) batch in place, bottom up; picks[e]
+    is entry e of every pick list."""
+    for k, entries in table:
+        radices = tuple(sizes[e] for e in entries)
+        vectors = _level_vectors(kind, k, radices, [picks[e] for e in entries])
+        _apply(rows[len(rows) - k :], *vectors)
 
 
 def rank_batch(rows: np.ndarray) -> np.ndarray:
@@ -133,48 +129,6 @@ def rank_batch(rows: np.ndarray) -> np.ndarray:
 def exponents(kind: str, dim: int, restricted: bool, picks) -> np.ndarray:
     """_exponent of the element of each pick list."""
     return _exponents(group_rows_batch(kind, dim, picks), dim, restricted)
-
-
-@lru_cache(maxsize=None)
-def exact_histogram(kind: str, dim: int, restricted: bool) -> tuple[int, ...]:
-    """Entry e: the number of elements of the group with exponent e, as
-    Python ints (dim + 1 entries); exact mode shifts them by e (t - 1).
-
-    The histogram does not depend on t, so each (kind, dim, restricted)
-    is enumerated once per process.  The cache is bounded by the groups
-    design's exact-mode budget admits, 13 keys of at most 8 ints."""
-    hist = np.zeros(dim + 1, np.int64)
-    for rows in _every_element(kind, dim):
-        hist += np.bincount(_exponents(rows, dim, restricted), minlength=dim + 1)
-    return tuple(hist.tolist())
-
-
-def _every_element(kind: str, dim: int):
-    """Every element of the group once, as (dim, B) batches, B <= _CHUNK.
-    Each level's step is a generator over the blocks of the level below,
-    so the tree is walked depth first, one block per level alive."""
-    sizes = level_sizes(kind, dim)
-    blocks = [_identity(dim - len(sizes))]  # the rows no level builds
-    for k, entries in levels(kind, dim):
-        radices = tuple(sizes[e] for e in entries)
-        blocks = _level_blocks(blocks, k, *_level_table(kind, k, radices))
-    return blocks
-
-
-def _level_blocks(blocks, k: int, vectors: np.ndarray, layout: tuple):
-    """Level k on each (rows, B) block below, g states at a time, as
-    (k, g * picks) blocks, the state slowest; g >= 1, since no level has
-    more than _CHUNK picks."""
-    g = _CHUNK // vectors.shape[1]
-    for states in blocks:
-        top = k - len(states)
-        for i in range(0, states.shape[1], g):
-            prefix = states[:, i : i + g]
-            level = np.empty((k, prefix.shape[1], vectors.shape[1]), np.uint64)
-            level[:top] = _identity(k)[:top, None]
-            level[top:] = prefix[:, :, None]
-            _apply(level, vectors[:, None, :], layout)
-            yield level.reshape(k, -1)
 
 
 def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
@@ -207,11 +161,10 @@ def _top_bits(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rank_one(level: np.ndarray, u: np.ndarray, h: np.ndarray) -> None:
-    """rank_one on every element of a level of k rows, in place: the rows
-    at the set bits of u XOR-reduced, then added to the rows at the bits
-    of h.  A row of the level has any shape that u and h broadcast to."""
-    shifts = np.arange(len(level) - 1, -1, -1, dtype=np.uint64)
-    shifts = shifts.reshape((-1,) + (1,) * (level.ndim - 1))
+    """rank_one on every element of a (k, B) level, in place: the rows at
+    the set bits of u XOR-reduced, then added to the rows at the bits of
+    h; u and h hold one vector per element."""
+    shifts = np.arange(len(level) - 1, -1, -1, dtype=np.uint64)[:, None]
     select = -((u >> shifts) & 1)  # all ones where row i is selected
     acc = np.bitwise_xor.reduce(level & select, axis=0)
     if h is not u:
@@ -283,8 +236,8 @@ _VECTORS = {"orthogonal": _orthogonal_vectors, "symplectic": _symplectic_vectors
 def _level_table(kind: str, k: int, radices: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
     """The vector function of a level on every pick, read-only: column c
     is the pick that reads c in mixed radix, the first entry slowest.  A
-    random batch reads one column per pick list where the level has at
-    most _TABLE_PICKS picks; the exact tree reads the table whole."""
+    batch reads one column per pick list where the level has at most
+    _TABLE_PICKS picks."""
     picks = np.indices(radices, np.uint64).reshape(len(radices), -1)
     vectors, layout = _VECTORS[kind](k, *picks)
     vectors.flags.writeable = False
@@ -311,16 +264,25 @@ def _mixed_radix(picks, radices) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subgroup_table(kind: str, m: int) -> np.ndarray:
-    """Every element of the group of levels 2..m, as (m, order) rows in the
-    order of the exact tree, read-only: at most _TABLE_PICKS columns."""
-    table = np.concatenate(list(_every_element(kind, m)), axis=1)
-    table.flags.writeable = False
-    return table
+    """Every element of the group of levels 2..m, as (m, order) rows,
+    read-only: column c is the pick list whose entries, in levels order
+    (level 2 slowest), read c in mixed radix.  At most _TABLE_PICKS
+    columns, built as one batch of every such pick list."""
+    table, sizes = levels(kind, m), level_sizes(kind, m)
+    entries = [e for _, level_entries in table for e in level_entries]
+    radices = [sizes[e] for e in entries]
+    digits = np.indices(radices, np.uint64).reshape(len(entries), math.prod(radices))
+    picks = np.empty_like(digits)
+    picks[entries] = digits  # each digit row back to its entry
+    rows = np.repeat(_identity(m), digits.shape[1], axis=1)
+    _build_levels(rows, kind, table, sizes, picks)
+    rows.flags.writeable = False
+    return rows
 
 
 def _apply(level: np.ndarray, vectors: np.ndarray, layout: tuple) -> None:
-    """The updates of a level of k rows in place, in layout order: row i
-    of vectors broadcasts to a row of the level; each _rank_one frees its
+    """The updates of a (k, B) level in place, in layout order: row i of
+    vectors holds one vector per element; each _rank_one frees its
     temporaries before the next is built."""
     rows = list(vectors)  # one view per row: a reflection passes one twice
     for i, j in layout:

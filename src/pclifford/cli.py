@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity-restricted", action="store_true")
     p.set_defaults(run=_cmd_frame)
 
-    p = sub.add_parser("orbits", help="orbit sizes of the generator closure")
+    p = sub.add_parser("orbits", help="orbit sizes by Witt's theorem")
     p.add_argument("--group", choices=sorted(_GROUPS), required=True)
     add_dim(p)
     p.add_argument("--tuple-order", type=int, default=1)

@@ -5,29 +5,27 @@ f(S)^(t-1), where f counts fixed labels; the parity-restricted variant
 averages ((f_+ + c_+)/2)^(t-1) with f_+ the even fixed labels and c_+
 the even labels S maps to their complement.  It needs an even
 dimension: only then is the all-ones vector j even, and 0 and j make
-f_+ >= 2.  All counts come from rank computations, never from
-enumeration; exact potentials are rationals.
+f_+ >= 2.  Fixed-point counts come from rank computations, never from
+enumeration.
 
-Every count is a power of two, so an element enters only through its
-fixed-point exponent e = log2 f, or e = log2((f_+ + c_+)/2) when
-restricted, and its summand is 2^(e(t-1)).  e is dim less one rank: of
-S + I, or restricted, of [S + I | 1] over [j | 0], which is r = rank
-[S + I; j] when c_+ = f_+ = 2^(dim - r) and r + 1 when c_+ = 0.  At
-even dim every row of S + I and j is even, so bit 0 is the parity of
-the other bits and can hold the augmented bit without changing the
-rank: a row of 64 labels stays in 64 bits.  One exponent formula, in
-_exponent and its batch counterpart, is the only path from an element
-to a summand: exact mode counts the exponents of every element into a
-histogram {e: count} and shifts each count by e (t - 1); Monte Carlo
-sums the exponents of random pick lists as a stream.
+By Burnside's lemma the average of f^(t-1) is the number of orbits on
+(t-1)-tuples of labels, and the restricted average the number on
+(t-1)-tuples of the even quotient.  Exact mode returns that count,
+which orbit_decomposition's Witt classes give in closed form at every
+size; no element is built, and numpy is not loaded.  The count is
+memoized per (group, dim, space, tuple order), at most 256 of them.
 
-Exact mode enumerates at most 10^7 elements, all of at most 7 labels, by
-the batch module's tree of shared prefixes, so each element costs one
-level of rank-one updates and one rank.  The histogram does not depend
-on t, so it is enumerated once per (group, dim, restricted) per process
-and kept: the budget admits 13 such keys, O(1..7), restricted O(2), O(4)
-and O(6), and Sp(2), Sp(4) and Sp(6), so the cache holds at most 13
-histograms of at most 8 ints, and each further t costs dim + 1 shifts.
+Every count is a power of two, so in Monte Carlo an element enters only
+through its fixed-point exponent e = log2 f, or e = log2((f_+ +
+c_+)/2) when restricted, and its summand is 2^(e(t-1)).  e is dim less
+one rank: of S + I, or restricted, of [S + I | 1] over [j | 0], which
+is r = rank [S + I; j] when c_+ = f_+ = 2^(dim - r) and r + 1 when c_+
+= 0.  At even dim every row of S + I and j is even, so bit 0 is the
+parity of the other bits and can hold the augmented bit without
+changing the rank: a row of 64 labels stays in 64 bits.  One exponent
+formula, in _exponent and its batch counterpart, is the only path from
+an element to a summand; Monte Carlo sums the exponents of random pick
+lists as a stream.
 
 Every Monte Carlo pick comes from group.random_draws, which runs
 randrange's own getrandbits loop inline on a random.Random: the same
@@ -54,6 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from ._bits import gather, row_parities
@@ -171,30 +170,22 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # ---------------------------------------------------------------------------
 # the exponent stream and the potentials
 
-# e <= dim, so dim (t - 1) bounds the bits of every exact summand, as
-# points-bits x tuple order bounds those of every orbit size; 2^13 bits
-# keep each within the 4300 digits Python prints
+# an exact potential counts orbits on (t - 1)-tuples of at most 2^dim
+# points, so dim (t - 1) bounds its bits, as points-bits x tuple order
+# bounds those of every orbit size; 2^13 bits keep each within the 4300
+# digits Python prints
 _EXACT_BITS = 1 << 13
-# group orders exact mode enumerates, judged by level_bits < 24, its bit
-# length: the order is at least 2^level_bits, and the two agree at every dim
-# (tested at 1..64).  O(7) and Sp(6), 1451520 elements each, are the largest:
-# cold walks of their tree took 0.23-0.26 s and 0.32-0.45 s on 2 shared CPUs.
-# It also bounds batch.exact_histogram's cache, 13 admitted keys in all
-_EXACT_BUDGET = 10**7
 # Monte Carlo pick lists per batch to 64 labels, near 3 MB there; 128-256 fault less, run slower
-_MC_CHUNK = 1024
+_MC_BATCH = 1024
 
 
-def _exact_refusal(kind: str, dim: int, t: int) -> Optional[str]:
-    """Why exact mode refuses a request, or None; it forms no group order."""
+def _exact_refusal(dim: int, t: int) -> Optional[str]:
+    """Why exact mode refuses a request, or None."""
     if dim * (t - 1) > _EXACT_BITS:
         return (
             f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
             f"of {_EXACT_BITS} bits per summand"
         )
-    low = level_bits(kind, dim)
-    if low >= _EXACT_BUDGET.bit_length():
-        return f"group order of at least 2^{low} exceeds the exact-mode budget {_EXACT_BUDGET}"
     return None
 
 
@@ -212,16 +203,12 @@ def _potential(
         raise ValueError("frame potential order must be >= 1")
     if restricted and (kind != "orthogonal" or dim % 2):
         raise ValueError("parity restriction needs O(N) with N even")
-    from . import batch  # numpy, loaded with the first potential
-
     if mode == "exact":
-        refusal = _exact_refusal(kind, dim, t)
+        refusal = _exact_refusal(dim, t)
         if refusal:
             raise ValueError(refusal)
-        hist = batch.exact_histogram(kind, dim, restricted)
-        total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
-        value = Fraction(total, sum(hist))  # the histogram counts each element once
-        return FramePotentialReport(kind, dim, t, "exact", restricted, value=value)
+        count = _orbit_count(kind, dim, "even_quotient" if restricted else "full", t - 1)
+        return FramePotentialReport(kind, dim, t, "exact", restricted, value=Fraction(count))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
@@ -229,6 +216,8 @@ def _potential(
     # only these can be recorded and passed back to replay the run
     if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
         raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
+    from . import batch  # numpy, loaded with the first Monte Carlo potential
+
     if seed is None:
         seed = next(random_draws(random.SystemRandom(), [1 << 53]))
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -239,8 +228,8 @@ def _potential(
     else:
         # chunks in sample order; the last draws only the samples that remain
         chunks = (
-            batch.random_picks(rng, sizes, min(_MC_CHUNK, samples - lo))
-            for lo in range(0, samples, _MC_CHUNK)
+            batch.random_picks(rng, sizes, min(_MC_BATCH, samples - lo))
+            for lo in range(0, samples, _MC_BATCH)
         )
         stream = itertools.chain.from_iterable(
             batch.exponents(kind, dim, restricted, picks).tolist() for picks in chunks
@@ -257,7 +246,7 @@ def _potential(
         finite = False
     if not finite:
         # point at --exact only where exact mode takes the request
-        refusal = _exact_refusal(kind, dim, t)
+        refusal = _exact_refusal(dim, t)
         hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
         raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples
@@ -334,9 +323,11 @@ _ORBIT_CAP = 1 << 16  # the most orbits one list holds
 
 
 def _subspaces(k: int, d: int) -> int:
-    """[k d]_2, the d-dimensional subspaces of F2^k; 0 for d outside 0..k."""
+    """[k d]_2, the d-dimensional subspaces of F2^k; 0 for d outside 0..k.
+    Taken as [k k-d]_2 where that has fewer factors."""
     if not 0 <= d <= k:
         return 0
+    d = min(d, k - d)
     num = math.prod((1 << (k - i)) - 1 for i in range(d))
     return num // math.prod((2 << i) - 1 for i in range(d))
 
@@ -354,18 +345,40 @@ def _embeddings(n: int, m: int, s: int) -> int:
     return pairs * math.prod((1 << (free - i)) - (1 << i) for i in range(m - 2 * s))
 
 
-def _witt_classes(n: int, k: int, first_nonzero: bool = False) -> list[tuple[int, int]]:
-    """(size, count) of the Sp(2n) orbits on k-tuples, one pair per
-    relation codimension m and form rank 2s with m - s <= n; with
-    first_nonzero only the tuples whose first entry is nonzero, whose
-    relation spaces avoid e_1."""
+def _witt_classes(n: int, k: int, first_nonzero: bool = False) -> list[tuple[int, int, int]]:
+    """(m, s, count) of the Sp(2n) orbits on k-tuples: count orbits of
+    relation codimension m and form rank 2s, for each m - s <= n; m stops
+    at min(k, 2n), past which no s is left.  With first_nonzero only the
+    tuples whose first entry is nonzero, whose relation spaces avoid e_1."""
     classes = []
-    for m in range(k + 1):
+    for m in range(min(k, 2 * n) + 1):
         d = k - m  # the dimension of the relation space
         kernels = _subspaces(k, d) - (_subspaces(k - 1, d - 1) if first_nonzero else 0)
         for s in range(max(m - n, 0), m // 2 + 1):
-            classes.append((_embeddings(n, m, s), kernels * _alternating_forms(m, s)))
+            classes.append((m, s, kernels * _alternating_forms(m, s)))
     return classes
+
+
+def _orbit_classes(group: str, dim: int, space: str, k: int) -> tuple[int, bool, list]:
+    """(n, first_nonzero, classes): the orbits of the group on k-tuples of
+    the space as the Sp(2n) classes of _witt_classes, by the reductions
+    orbit_decomposition describes.  With first_nonzero each orbit size is
+    the Sp(2n) one over the 4^n - 1 nonzero labels."""
+    n = dim // 2
+    if group == "symplectic":
+        return n, False, _witt_classes(n, k)
+    if space == "even_quotient":
+        return n - 1, False, _witt_classes(n - 1, k)
+    if dim % 2:
+        return n, False, [(m, s, count << k) for m, s, count in _witt_classes(n, k)]
+    return n, True, _witt_classes(n, k + 1, True)
+
+
+@lru_cache(maxsize=256)
+def _orbit_count(group: str, dim: int, space: str, k: int) -> int:
+    """The number of orbits on k-tuples: F_(k+1), the exact potential.
+    At most 256 ints of at most 8193 bits are kept, about 300 kB."""
+    return sum(count for _, _, count in _orbit_classes(group, dim, space, k)[2])
 
 
 def orbit_decomposition(
@@ -433,21 +446,13 @@ def orbit_decomposition(
             f"{tuple_order}-tuples of 2^{bits} points take {bits * tuple_order} bits, "
             f"past the cap of {_EXACT_BITS} bits per orbit size"
         )
-    n, k = dim // 2, tuple_order
-    if group == "symplectic":
-        classes = _witt_classes(n, k)
-    elif space == "even_quotient":
-        classes = _witt_classes(n - 1, k)
-    elif dim % 2:
-        classes = [(size, count << k) for size, count in _witt_classes(n, k)]
-    else:
-        labels = (1 << 2 * n) - 1  # the nonzero labels, one Sp(2n) orbit
-        classes = [(size // labels, count) for size, count in _witt_classes(n, k + 1, True)]
-    total = sum(count for _, count in classes)
+    n, first_nonzero, classes = _orbit_classes(group, dim, space, tuple_order)
+    total = sum(count for _, _, count in classes)
     if total > _ORBIT_CAP:
         raise ValueError(f"{total} orbits exceed the cap of 2^16 orbits per list")
+    labels = (1 << 2 * n) - 1 if first_nonzero else 1  # the nonzero labels, one Sp(2n) orbit
     sizes = []
-    for size, count in sorted(classes):
+    for size, count in sorted((_embeddings(n, m, s) // labels, c) for m, s, c in classes):
         sizes += [size] * count
     return sizes
 

@@ -30,8 +30,7 @@ Index samplers read index - 1 as a mixed-radix number whose least
 significant digit is the first entry, and the group order is the
 product of the sizes.  Reordering the entries changes every seeded and
 indexed output.  The batch module builds whole arrays of pick lists at
-once, each element equal to what group_rows gives, and enumerates every
-pick list as a tree of shared prefixes, bottom level first.
+once, each element equal to what group_rows gives.
 """
 
 from __future__ import annotations

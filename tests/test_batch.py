@@ -2,9 +2,11 @@
 
 group_rows_batch must equal group_rows on every pick list, rank_batch
 must equal rank_ints, and the exponents of a chunk must equal _exponent
-element by element.  The prefix tree of exact mode must give every
-element of the group once, and its histogram the counts of the scalar
-exponents.  Each subgroup table must be group_rows of every pick list in
+element by element.  The prefix tree that exact mode walked before it
+became the Witt orbit count is kept here as the reference of exact
+potentials: it must give every element of the group once, its histogram
+the counts of the scalar exponents, and the potentials of its histogram
+those of exact mode.  Each subgroup table must be group_rows of every pick list in
 its index order, each level table its vector function on every pick,
 and group.random_draws must draw what rng.randrange draws, to the final
 state of the rng.  Dimension 64 is the edge of the uint64 rows; the
@@ -13,8 +15,11 @@ restricted rank writes its augmented bit into bit 0, so no row needs a
 """
 
 import itertools
+import json
 import math
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 import os
 import random
 import resource
@@ -29,9 +34,6 @@ from hypothesis import given, settings, strategies as st
 
 from pclifford import batch, group
 from pclifford.batch import (
-    _CHUNK,
-    _every_element,
-    exact_histogram,
     exponents,
     group_rows_batch,
     random_picks,
@@ -127,8 +129,8 @@ def test_tables_cover_the_small_levels_in_about_270_kb():
         *(("orthogonal", k) for k in range(2, 14)),
         *(("symplectic", k) for k in (2, 4, 6)),
     ]
-    # a cold subgroup table walks the exact tree, which reads the tables
-    # of its levels: built first, the count below is what batches add
+    # a cold subgroup table reads the tables of its levels: built first,
+    # the count below is what batches add
     batch._subgroup_table("orthogonal", 5)
     batch._subgroup_table("symplectic", 4)
     batch._level_table.cache_clear()
@@ -285,9 +287,57 @@ def test_restricted_exponent_matches_the_two_rank_counts(dim):
         assert exponents("orthogonal", dim, True, picks).tolist() == want
 
 
+# ---------------------------------------------------------------------------
+# the prefix tree exact mode walked before the Witt count: every element,
+# each level applied to a block of prefix states at once
+
+
+_CHUNK = 2048  # elements per block, at least the 2016 picks of Sp(6) level 6
+
+
+def every_element(kind, dim):
+    """Every element of the group once, as (dim, B) blocks, B <= _CHUNK.
+    Each level's step is a generator over the blocks of the level below,
+    so the tree is walked depth first, one block per level alive."""
+    sizes = level_sizes(kind, dim)
+    blocks = [batch._identity(dim - len(sizes))]  # the rows no level builds
+    for k, entries in levels(kind, dim):
+        radices = tuple(sizes[e] for e in entries)
+        blocks = level_blocks(blocks, k, *batch._level_table(kind, k, radices))
+    return blocks
+
+
+def level_blocks(blocks, k, vectors, layout):
+    """Level k on each (rows, B) block below, g states at a time, as
+    (k, g * picks) blocks, the state slowest; every pick of the level is
+    in one block."""
+    picks = vectors.shape[1]
+    g = _CHUNK // picks
+    assert g >= 1
+    for states in blocks:
+        top = k - len(states)
+        for i in range(0, states.shape[1], g):
+            prefix = states[:, i : i + g]
+            level = np.empty((k, prefix.shape[1], picks), np.uint64)
+            level[:top] = batch._identity(k)[:top, None]
+            level[top:] = prefix[:, :, None]
+            level = level.reshape(k, -1)
+            batch._apply(level, np.tile(vectors, prefix.shape[1]), layout)
+            yield level
+
+
+@lru_cache(maxsize=None)
+def tree_histogram(kind, dim, restricted):
+    """Entry e: the elements the tree gives with exponent e."""
+    hist = np.zeros(dim + 1, np.int64)
+    for rows in every_element(kind, dim):
+        hist += np.bincount(batch._exponents(rows, dim, restricted), minlength=dim + 1)
+    return tuple(hist.tolist())
+
+
 def tree_elements(kind, dim):
     """Every element the prefix tree gives, one list of packed rows each."""
-    blocks = list(_every_element(kind, dim))
+    blocks = list(every_element(kind, dim))
     assert all(b.shape[0] == dim and 0 < b.shape[1] <= _CHUNK for b in blocks)
     return [rows for b in blocks for rows in b.T.tolist()]
 
@@ -300,87 +350,29 @@ def test_prefix_tree_gives_every_element_of_the_index_samplers(kind, dim):
 
 
 @pytest.mark.parametrize("kind, dim, restricted", with_restriction(EVERY))
-def test_exact_histogram_counts_the_scalar_exponents(kind, dim, restricted):
+def test_tree_histogram_counts_the_scalar_exponents(kind, dim, restricted):
     elements = [group_rows(kind, dim, p) for p in every_pick_list(kind, dim)]
     want = Counter(_exponent(rows, dim, restricted) for rows in elements)
-    hist = exact_histogram(kind, dim, restricted)
+    hist = tree_histogram(kind, dim, restricted)
     assert len(hist) == dim + 1 and all(type(count) is int for count in hist)
     assert {e: count for e, count in enumerate(hist) if count} == want
-
-
-def test_exact_histogram_caches_a_tuple():
-    """The cached value is immutable, so no caller can change a count."""
-    exact_histogram.cache_clear()
-    hist = exact_histogram("symplectic", 4, False)
-    assert type(hist) is tuple
-    assert exact_histogram("symplectic", 4, False) is hist
-    assert exact_histogram.cache_info().currsize == 1
-
-
-def test_another_t_of_the_same_group_does_not_walk_the_tree_again(monkeypatch):
-    walks = []
-
-    def counted(kind, dim):
-        walks.append((kind, dim))
-        return _every_element(kind, dim)
-
-    monkeypatch.setattr(batch, "_every_element", counted)
-    exact_histogram.cache_clear()
-    values = [frame_potential("orthogonal", 4, t).value for t in (2, 3, 4)]
-    assert values == [4, 23, 190] and walks == [("orthogonal", 4)]
-    # restricted is another histogram of the same group
-    assert [parity_frame_potential(4, t).value for t in (2, 3, 4)] == [2, 5, 15]
-    assert walks == [("orthogonal", 4)] * 2
-    frame_potential("orthogonal", 4, 5)
-    parity_frame_potential(4, 5)
-    assert len(walks) == 2
 
 
 @pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
 def test_prefix_tree_covers_the_largest_groups_once(kind, dim):
     """O(7) and Sp(6), 1451520 elements each: one key per element, the
-    rows packed side by side, and as many distinct keys as the order; a
-    block of keys is as wide as its block of elements, at most _CHUNK."""
+    rows packed side by side, and as many distinct keys as the order."""
     shifts = np.arange(dim - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(dim)
-    keys = [np.bitwise_or.reduce(b << shifts, axis=0) for b in _every_element(kind, dim)]
-    assert max(map(len, keys)) <= _CHUNK
+    keys = [np.bitwise_or.reduce(b << shifts, axis=0) for b in every_element(kind, dim)]
     keys = np.sort(np.concatenate(keys))
     # distinct keys counted on the sorted array: np.unique takes about 1 s here
     assert len(keys) == group_order(kind, dim)
     assert np.count_nonzero(keys[1:] != keys[:-1]) + 1 == len(keys)
 
 
-@pytest.mark.parametrize("kind, dim", [("orthogonal", 7), ("symplectic", 6)])
-def test_exact_mode_memory_stays_within_the_chunk(kind, dim):
-    """At the largest orders the budget admits, the tree holds one array
-    of at most _CHUNK elements per level: about 0.63 MB traced (0.75 and
-    0.83 MB while the tree copied its states and vectors), where the index
-    chunks before it took about 0.4 MB.  The cache is cleared first:
-    a histogram left by an earlier test would skip the walk."""
-    exact_histogram.cache_clear()
-    tracemalloc.start()
-    try:
-        frame_potential(kind, dim, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000
-
-
-# the admitted keys of exact mode: O(1..7), restricted O(2, 4, 6), Sp(2, 4, 6)
-ADMITTED = with_restriction(EVERY) + [("orthogonal", 7, False), ("symplectic", 6, False)]
-
-
-def test_every_admitted_level_fits_one_block():
-    """The exact tree gives each state every pick of a level in one block,
-    and _level_table builds the level whole, so no level of a key exact
-    mode admits has more than _CHUNK picks; Sp(6) level 6 has 2016."""
-    picks = [
-        math.prod(level_sizes(kind, dim)[e] for e in entries)
-        for kind, dim, _ in ADMITTED
-        for _, entries in levels(kind, dim)
-    ]
-    assert max(picks) == 2016 <= _CHUNK
+# the keys the tree reaches in well under a second each, the keys exact
+# mode enumerated: O(1..7), restricted O(2, 4, 6), Sp(2, 4, 6)
+TREE_KEYS = with_restriction(EVERY) + [("orthogonal", 7, False), ("symplectic", 6, False)]
 
 
 def index_pick_lists(kind, dim, lo, hi):
@@ -395,15 +387,14 @@ def index_pick_lists(kind, dim, lo, hi):
     return picks
 
 
-@pytest.mark.parametrize("kind, dim, restricted", ADMITTED)
-def test_cold_exact_histogram_counts_every_index(kind, dim, restricted):
-    """Each admitted key walked with the histograms and the tables cleared
-    equals the exponents of every index built as a random batch, through
-    the tables; where every element is enumerated here, also the scalar
-    exponents."""
-    exact_histogram.cache_clear()
+@pytest.mark.parametrize("kind, dim, restricted", TREE_KEYS)
+def test_tree_histogram_counts_every_index(kind, dim, restricted):
+    """Each key walked with the level tables cleared equals the exponents
+    of every index built as a random batch, through the tables; where
+    every element is enumerated here, also the scalar exponents."""
+    tree_histogram.cache_clear()
     batch._level_table.cache_clear()
-    cold = exact_histogram(kind, dim, restricted)
+    cold = tree_histogram(kind, dim, restricted)
     order = group_order(kind, dim)
     want = np.zeros(dim + 1, np.int64)
     for lo in range(0, order, 1 << 16):
@@ -414,7 +405,24 @@ def test_cold_exact_histogram_counts_every_index(kind, dim, restricted):
         elements = (group_rows(kind, dim, p) for p in every_pick_list(kind, dim))
         scalar = Counter(_exponent(rows, dim, restricted) for rows in elements)
         assert {e: count for e, count in enumerate(cold) if count} == scalar
-    assert len(ADMITTED) == 13
+    assert len(TREE_KEYS) == 13
+
+
+@pytest.mark.parametrize("kind, dim, restricted", TREE_KEYS)
+def test_exact_potentials_are_the_tree_averages(kind, dim, restricted):
+    """Exact mode counts orbits by Witt's theorem and builds no element;
+    the tree averages f^(t - 1) over every element: by Burnside's lemma
+    the two agree, here for t = 1..8."""
+    hist = tree_histogram(kind, dim, restricted)
+    order = group_order(kind, dim)
+    assert sum(hist) == order
+    for t in range(1, 9):
+        total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
+        if restricted:
+            rep = parity_frame_potential(dim, t)
+        else:
+            rep = frame_potential(kind, dim, t)
+        assert rep.value == Fraction(total, order), t
 
 
 def test_index_pick_lists_decode_like_the_index_samplers():
@@ -604,7 +612,9 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _assert_quick_refusal(argv, message):
+def _run_quickly(argv):
+    """The child's result, after checking that main took under a second;
+    its last line of stdout is that time."""
     res = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         capture_output=True,
@@ -613,8 +623,13 @@ def _assert_quick_refusal(argv, message):
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=_cap_memory,
     )
+    assert float(res.stdout.split()[-1]) < 1.0
+    return res
+
+
+def _assert_quick_refusal(argv, message):
+    res = _run_quickly(argv)
     assert res.returncode == 1 and message in res.stderr
-    assert float(res.stdout) < 1.0
 
 
 @pytest.mark.parametrize(
@@ -622,8 +637,6 @@ def _assert_quick_refusal(argv, message):
     [
         (["order", "--group", "o", "--dim", "1000000"], "more than 4300 digits"),
         (["order", "--group", "sp", "--dim", "1000000"], "more than 4300 digits"),
-        (["frame", "--group", "o", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
-        (["frame", "--group", "sp", "--dim", "1000000", "--t", "1", "--exact"], "at least 2^"),
         (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--exact"], "exact-mode cap"),
         (["sample", "--group", "o", "--dim", "1000000"], "cap of 4096 labels"),
         (["sample", "--group", "sp", "--dim", "1000000", "--index", "1"], "cap of 4096 labels"),
@@ -633,6 +646,14 @@ def _assert_quick_refusal(argv, message):
 )
 def test_huge_dimensions_exit_within_a_second(argv, message):
     _assert_quick_refusal(argv, message)
+
+
+@pytest.mark.parametrize("group", ["o", "sp"])
+def test_huge_dimensions_answer_t_1_within_a_second(group):
+    """F_1 is 1 for every group: the one orbit of the empty tuple."""
+    res = _run_quickly(["frame", "--group", group, "--dim", "1000000", "--t", "1", "--exact"])
+    assert res.returncode == 0 and res.stderr == ""
+    assert json.loads(res.stdout.splitlines()[0])["value"] == 1
 
 
 def test_huge_stabilizer_header_exits_within_a_second(tmp_path):

@@ -322,17 +322,16 @@ class TestFrame:
         assert code == 1 and out == "" and "cap of 8192 bits" in err
 
     @pytest.mark.parametrize(
-        "group, dim",
-        [("o", d) for d in ("8", "100", "128", "200", "4000")] + [("sp", "8"), ("sp", "100")],
+        "group, dim, want",
+        [("o", d, 4) for d in ("8", "100", "128", "200", "4000")] + [("sp", "8", 2), ("sp", "100", 2)],
     )
-    def test_exact_budget_exits_quickly(self, capsys, group, dim):
-        # the order is refused from bit lengths, never formed or printed
+    def test_exact_answers_past_enumerable_orders_quickly(self, capsys, group, dim, want):
+        """F_2 counts the orbits on labels: 0, j, the even and the odd
+        other labels for even O(N); 0 and the rest for Sp(2n)."""
         start = time.perf_counter()
         code, out, err = run(capsys, "frame", "--group", group, "--dim", dim, "--t", "2", "--exact")
         assert time.perf_counter() - start < 1.0
-        low = level_bits(cli._GROUPS[group], int(dim))
-        assert code == 1 and out == "" and len(err) < 200
-        assert f"group order of at least 2^{low} exceeds the exact-mode budget 10000000" in err
+        assert code == 0 and err == "" and json.loads(out)["value"] == want
 
 
 def strict_json(text):
@@ -371,12 +370,18 @@ class TestFrameJsonValidity:
         assert code == 1 and out == ""
         assert "--exact" not in err and "cap of 8192 bits" in err
 
-    def test_overflow_past_the_exact_budget_does_not_point_at_exact(self, capsys):
-        # dim x (t - 1) = 1592 is under the cap, but |O(8)| exceeds the budget
-        argv = ["frame", "--group", "o", "--dim", "8", "--t", "200", "--samples", "10"]
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert "--exact" not in err and "exact-mode budget" in err
+    def test_overflow_under_the_exact_cap_points_at_exact_which_answers(self, capsys):
+        # dim x (t - 1) = 1592 is under the cap at any group order
+        argv = ["frame", "--group", "o", "--dim", "8", "--t", "200"]
+        code, out, err = run(capsys, *argv, "--samples", "10")
+        assert code == 1 and out == "" and "use exact mode (--exact)" in err
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--exact")
+        assert time.perf_counter() - start < 1.0
+        value = json.loads(out)["value"]
+        assert code == 0 and err == "" and value.bit_length() == 1565
+        # at least the 2^1592 / |O(8)| orbits of the tuples, at most all of them
+        assert (1 << 1592) // group_order("orthogonal", 8) < value < 1 << 1592
 
     def test_library_json_refuses_non_finite(self):
         from pclifford.design import FramePotentialReport

@@ -25,14 +25,10 @@ from pclifford.group import (
     sample_orthogonal_random,
     sample_symplectic,
 )
-from pclifford import batch
-from pclifford.batch import exact_histogram
 from pclifford.design import (
     _EXACT_BITS,
-    _EXACT_BUDGET,
     FixedPointProfile,
-    _exact_refusal,
-    _potential,
+    _orbit_count,
     fixed_point_profile,
     frame_potential,
     haar_frame_potential,
@@ -115,10 +111,14 @@ class TestFramePotential:
         assert isinstance(rep.value, Fraction)
         assert rep.mode == "exact" and rep.restricted is False
 
-    def test_budget_guard(self):
-        # |O(8)| = 92,897,280 exceeds the budget of 10^7; level_bits says 2^25
-        with pytest.raises(ValueError, match=r"^group order of at least 2\^25 exceeds"):
-            frame_potential("orthogonal", 8, 2)
+    @pytest.mark.parametrize("dim", [3, 4, 7, 8, 9, 100, 101, 128, 200, 4000, 8192])
+    def test_labels_fall_in_four_orbits_at_every_size(self, dim):
+        """F_2 counts the orbits on single labels: O(N) for N >= 3 keeps
+        0, j, the other labels of j's parity and those of the other
+        parity; Sp(2n) only 0 and the nonzero labels."""
+        assert frame_potential("orthogonal", dim, 2).value == 4
+        if dim % 2 == 0:
+            assert frame_potential("symplectic", dim, 2).value == 2
 
     def test_monte_carlo_deterministic(self):
         a = parity_frame_potential(6, 2, mode="monte_carlo", seed=1, samples=500)
@@ -195,9 +195,10 @@ class TestFramePotential:
 
 
 # ---------------------------------------------------------------------------
-# the exponent histogram, enumerated once per group and process
+# the orbit count behind exact mode, memoized per (group, dim, space, order)
 
-# every (kind, dim, restricted) that exact mode admits
+# the keys exact mode reached when it enumerated the group: O(1..7),
+# restricted O(2, 4, 6), Sp(2, 4, 6)
 EXACT_KEYS = (
     [("orthogonal", dim, False) for dim in range(1, 8)]
     + [("orthogonal", dim, True) for dim in (2, 4, 6)]
@@ -211,66 +212,111 @@ def exact_value(kind, dim, restricted, t):
     return frame_potential(kind, dim, t).value
 
 
-@pytest.mark.parametrize("kind, dim, restricted", EXACT_KEYS)
-def test_warm_cache_gives_the_potentials_of_a_fresh_walk(kind, dim, restricted):
-    exact_histogram.cache_clear()
-    warm = [exact_value(kind, dim, restricted, t) for t in range(1, 6)]  # t = 1 fills it
+@pytest.mark.parametrize(
+    "kind, dim, restricted",
+    EXACT_KEYS + [("orthogonal", 8, False), ("orthogonal", 64, True), ("symplectic", 128, False)],
+)
+def test_warm_memo_gives_the_potentials_of_a_cold_count(kind, dim, restricted):
+    _orbit_count.cache_clear()
+    # the second pass reads the memo
+    warm = [exact_value(kind, dim, restricted, t) for _ in range(2) for t in range(1, 6)]
+    assert _orbit_count.cache_info().hits == 5
     cold = []
     for t in range(1, 6):
-        exact_histogram.cache_clear()
+        _orbit_count.cache_clear()
         cold.append(exact_value(kind, dim, restricted, t))
-    assert warm == cold
+    assert warm == cold * 2
+
+
+def test_the_orbit_count_memo_is_bounded():
+    """At most 256 counts of at most 8193 bits each: about 300 kB."""
+    _orbit_count.cache_clear()
+    assert _orbit_count.cache_info().maxsize == 256
+    for t in range(1, 301):
+        frame_potential("orthogonal", 8, t)
+    assert _orbit_count.cache_info().currsize == 256
 
 
 @pytest.mark.parametrize(
-    "kind, dim, restricted",
-    [("orthogonal", 8, False), ("orthogonal", 8, True), ("symplectic", 8, False)],
+    "kind, dim, restricted, t",
+    [
+        ("orthogonal", 8, False, 1026),  # 8 x 1025 bits, past the cap
+        ("orthogonal", 8, True, 1026),
+        ("symplectic", 8192, False, 3),
+        ("orthogonal", 4, False, 0),
+        ("symplectic", 3, False, 2),
+    ],
 )
-def test_refused_request_adds_no_cache_entry(kind, dim, restricted):
+def test_refused_request_adds_no_memo_entry(kind, dim, restricted, t):
     exact_value("symplectic", 2, False, 2)  # at least one entry
-    before = exact_histogram.cache_info()
-    with pytest.raises(ValueError, match="budget"):
-        exact_value(kind, dim, restricted, 2)
-    assert exact_histogram.cache_info() == before
+    before = _orbit_count.cache_info()
+    with pytest.raises(ValueError):
+        exact_value(kind, dim, restricted, t)
+    assert _orbit_count.cache_info() == before
 
 
-def test_exact_mode_admits_13_histograms_of_at_most_8_ints(monkeypatch):
-    """The histogram cache has no maxsize: the exact-mode budget bounds it.
-    Raising the budget admits more keys and fails this test."""
-    asked = []
-
-    def stub(kind, dim, restricted):
-        asked.append((kind, dim, restricted))
-        return (group_order(kind, dim),) + (0,) * dim
-
-    monkeypatch.setattr(batch, "exact_histogram", stub)
-    for kind in ("orthogonal", "symplectic"):
-        for dim in range(1, 65):
-            for restricted in (False, True):
-                try:
-                    _potential(kind, dim, 2, restricted, "exact", None, 1)
-                except ValueError:
-                    pass
-    assert sorted(asked) == sorted(EXACT_KEYS) and len(asked) == 13
-    assert max(dim + 1 for _, dim, _ in asked) == 8
-
-
-@pytest.mark.parametrize("kind, step", [("orthogonal", 1), ("symplectic", 2)])
-def test_bit_bound_admits_exactly_the_orders_within_the_budget(kind, step):
-    """_exact_refusal decides from level_bits alone, never from the order."""
-    for dim in range(step, 65, step):
-        admitted = _exact_refusal(kind, dim, 2) is None
-        assert admitted == (group_order(kind, dim) <= _EXACT_BUDGET), dim
+# every exact request under the cap of 8192 bits answers in well under a
+# second: the Witt loop stops at min(t - 1, 2n), past which no form embeds.
+# The slowest found, O(90) at t = 92 and O(128) at t = 65, took 22 ms and
+# 13 ms cold on 2 shared CPUs
+COLD_CASES = [
+    ("orthogonal", 1, False, 8193),
+    ("orthogonal", 2, False, 4097),
+    ("orthogonal", 2, True, 4097),
+    ("orthogonal", 7, False, 1171),
+    ("orthogonal", 90, False, 92),
+    ("orthogonal", 90, True, 92),
+    ("orthogonal", 128, False, 65),
+    ("orthogonal", 128, True, 65),
+    ("symplectic", 128, False, 65),
+    ("orthogonal", 1024, False, 9),
+    ("orthogonal", 8192, False, 2),
+    ("symplectic", 8192, False, 2),
+]
 
 
-@pytest.mark.parametrize("kind, dim, restricted", EXACT_KEYS)
-def test_exact_value_is_the_histogram_over_the_group_order(kind, dim, restricted):
-    """The value divides by the count the histogram enumerated, which must
-    be the group order."""
-    hist = exact_histogram(kind, dim, restricted)
-    for t in range(1, 7):
-        total = sum(count << (e * (t - 1)) for e, count in enumerate(hist))
-        assert exact_value(kind, dim, restricted, t) == Fraction(total, group_order(kind, dim))
+@pytest.mark.parametrize("kind, dim, restricted, t", COLD_CASES)
+def test_every_request_under_the_cap_answers_within_a_second_cold(kind, dim, restricted, t):
+    _orbit_count.cache_clear()
+    start = time.perf_counter()
+    value = exact_value(kind, dim, restricted, t)
+    assert time.perf_counter() - start < 1.0
+    assert dim * (t - 1) <= _EXACT_BITS and value.denominator == 1
+    # a count of orbits on (t - 1)-tuples of at most 2^(dim (t - 1)) of them
+    assert 1 <= value <= 1 << (dim * (t - 1))
+
+
+def test_the_longest_tuples_of_o2():
+    """Restricted O(2) acts on one point."""
+    assert exact_value("orthogonal", 2, True, 4097) == 1
+    # O(2) = {I, the swap}: 2^4096 tuples, 2^2048 of them fixed by the swap
+    assert exact_value("orthogonal", 2, False, 4097) == (4**4096 + 2**4096) // 2
+
+
+# ---------------------------------------------------------------------------
+# the design order at every size: restricted O(2n) against the Haar
+# reference of 2^(n - 1) dimensions, Rains' formula, which owes nothing to
+# Witt's theorem
+
+
+def test_restricted_orthogonal_is_a_3_design_and_not_a_4_design_at_every_size():
+    """Restricted O(2n) has the Haar potentials of U(2^(n - 1)) at t = 1,
+    2, 3 and a larger one at t = 4, from 4 labels to 2730, the largest
+    dim that t = 4 admits (2730 x 3 <= 8192)."""
+    assert 2730 * 3 <= _EXACT_BITS < 2732 * 3
+    for dim in range(4, 2731, 2):
+        haar_dim = 2 ** (dim // 2 - 1)
+        for t in (1, 2, 3):
+            assert parity_frame_potential(dim, t).value == haar_frame_potential(t, haar_dim), (dim, t)
+        assert parity_frame_potential(dim, 4).value != haar_frame_potential(4, haar_dim), dim
+
+
+@pytest.mark.parametrize(
+    "n, f4, f5", [(2, 15, 51), (3, 29, 219), (4, 30, 269), (5, 30, 270)]
+)
+def test_restricted_potentials_at_t_4_and_5(n, f4, f5):
+    assert parity_frame_potential(2 * n, 4).value == f4
+    assert parity_frame_potential(2 * n, 5).value == f5
 
 
 class TestHaarReference:

@@ -217,8 +217,8 @@ def test_exact_potentials(kind, dim, restricted):
 
 
 def test_exact_potential_orthogonal_7():
-    # one enumeration of O(7) (1451520 elements) takes about 0.1 s; t = 2
-    # and 3 were read as 4 and 24 by the scalar enumeration
+    # pinned by enumerating O(7) (1451520 elements); t = 2 and 3 were read
+    # as 4 and 24 by the scalar enumeration
     got = [str(frame_potential("orthogonal", 7, t).value) for t in (2, 3, 4)]
     assert got == ["4", "24", "240"]
 
@@ -290,7 +290,7 @@ def test_witt_count_matches_the_pinned_symplectic_values(n, t):
 
 @pytest.mark.parametrize("t, want", [(3, 6), (4, 30)])
 def test_exact_potential_symplectic_6_matches_witt_count(t, want):
-    # one enumeration of Sp(6) (1451520 elements) takes about 0.25 s
+    # the values the enumeration of Sp(6) (1451520 elements) gave
     assert _witt_count(3, t) == want
     assert frame_potential("symplectic", 6, t).value == want
 
@@ -523,7 +523,9 @@ CLI_INVOCATIONS = [
     (["verify", "--seed", "5"], ""),
 ]
 CLI_INVOCATIONS += [([sub, "--help"], "") for sub in ("order", "jw", "compose", "stab-encode", "orbits", "verify")]
-CLI_GOLDEN = "ddc73b8d1cc201c7d30baed1522b2e69671dbcef250b56eeec942d16d9d1a964"
+# re-pinned when the orbits help became "orbit sizes by Witt's theorem": of
+# the 42 items only the top-level --help changed
+CLI_GOLDEN = "59dc7cec5c1d9bcabc1d086bf5e7b357b172cce8548adf68a504e927b0b52eab"
 
 
 def _cli_items(capsys, monkeypatch):

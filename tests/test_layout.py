@@ -567,13 +567,13 @@ def test_numpy_guard_finds_the_imports(tmp_path):
 
 
 def test_importing_the_library_loads_no_batch_kernels():
-    """design loads the batch module with its first potential: an import
-    compiles none of it and loads no numpy."""
+    """design loads the batch module with its first Monte Carlo potential:
+    an import compiles none of it and loads no numpy."""
     code = (
         "import sys\n"
         "import pclifford.design, pclifford.group, pclifford.stabilizer\n"
         "assert 'pclifford.batch' not in sys.modules and 'numpy' not in sys.modules\n"
-        "pclifford.design.frame_potential('symplectic', 2, 2)\n"
+        "pclifford.design.frame_potential('symplectic', 2, 2, mode='monte_carlo', seed=1, samples=2)\n"
         "assert 'pclifford.batch' in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -583,6 +583,20 @@ def test_importing_the_library_loads_no_batch_kernels():
 def test_importing_the_cli_loads_no_numpy():
     """Only the verify suites that compare with the dense oracle load it."""
     code = "import sys, pclifford.cli\nassert 'numpy' not in sys.modules\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def test_exact_mode_loads_no_numpy():
+    """Exact potentials and orbit lists are Witt counts in pure Python."""
+    code = (
+        "import sys\n"
+        "from pclifford import design\n"
+        "assert design.frame_potential('symplectic', 6, 4).value == 30\n"
+        "assert design.parity_frame_potential(8, 4).value == 30\n"
+        "assert len(design.orbit_decomposition(8, 2, 'orthogonal')) == 24\n"
+        "assert 'numpy' not in sys.modules and 'pclifford.batch' not in sys.modules\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
@@ -618,8 +632,8 @@ def itertools_products(path):
 
 
 def test_design_enumerates_without_itertools_product():
-    """Exact mode walks batch's prefix tree of numpy blocks; it does not
-    walk a product."""
+    """Exact mode counts orbits in closed form and Monte Carlo draws pick
+    lists: neither walks a product."""
     assert itertools_products(SRC / "design.py") == []
 
 
