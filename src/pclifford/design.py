@@ -170,23 +170,8 @@ def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
 # ---------------------------------------------------------------------------
 # the exponent stream and the potentials
 
-# an exact potential counts orbits on (t - 1)-tuples of at most 2^dim
-# points, so dim (t - 1) bounds its bits, as points-bits x tuple order
-# bounds those of every orbit size; 2^13 bits keep each within the 4300
-# digits Python prints
-_EXACT_BITS = 1 << 13
 # Monte Carlo pick lists per batch to 64 labels, near 3 MB there; 128-256 fault less, run slower
 _MC_BATCH = 1024
-
-
-def _exact_refusal(dim: int, t: int) -> Optional[str]:
-    """Why exact mode refuses a request, or None."""
-    if dim * (t - 1) > _EXACT_BITS:
-        return (
-            f"dim x (t - 1) = {dim * (t - 1)} exceeds the exact-mode cap "
-            f"of {_EXACT_BITS} bits per summand"
-        )
-    return None
 
 
 def _potential(
@@ -198,16 +183,15 @@ def _potential(
     seed,
     samples: int,
 ) -> FramePotentialReport:
-    level_bits(kind, dim)  # validates kind and dim
+    space = "even_quotient" if restricted else "full"
+    _check_space(kind, dim, space)
     if t < 1:
         raise ValueError("frame potential order must be >= 1")
-    if restricted and (kind != "orthogonal" or dim % 2):
-        raise ValueError("parity restriction needs O(N) with N even")
     if mode == "exact":
-        refusal = _exact_refusal(dim, t)
+        refusal = _count_refusal(dim, space, t - 1)
         if refusal:
             raise ValueError(refusal)
-        count = _orbit_count(kind, dim, "even_quotient" if restricted else "full", t - 1)
+        count = _orbit_count(kind, dim, space, t - 1)
         return FramePotentialReport(kind, dim, t, "exact", restricted, value=Fraction(count))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -246,7 +230,7 @@ def _potential(
         finite = False
     if not finite:
         # point at --exact only where exact mode takes the request
-        refusal = _exact_refusal(dim, t)
+        refusal = _count_refusal(dim, space, t - 1)
         hint = f"exact mode refuses it too: {refusal}" if refusal else "use exact mode (--exact)"
         raise ValueError(f"Monte Carlo sums at t={t} overflow a float; {hint}")
     est = acc / samples
@@ -318,8 +302,32 @@ def haar_frame_potential(t: int, N: int) -> int:
 # ---------------------------------------------------------------------------
 # orbits by Witt's theorem
 
-_TUPLE_CAP = 16  # the largest tuple order
+# points-bits x tuple order bounds the bits of every orbit count and size
+# on a space; 2^13 bits keep each within the 4300 digits Python prints
+_EXACT_BITS = 1 << 13
 _ORBIT_CAP = 1 << 16  # the most orbits one list holds
+
+
+def _check_space(group: str, dim: int, space: str) -> None:
+    """Rejects a group, dim or space that no orbit count acts on."""
+    level_bits(group, dim)  # validates group and dim
+    if space not in ("full", "even_quotient"):
+        raise ValueError(f"unknown space {space!r}")
+    if space == "even_quotient" and dim % 2:
+        raise ValueError("even quotient needs even dimension")
+    if group == "symplectic" and space == "even_quotient":
+        raise ValueError("the symplectic group does not act on the even quotient")
+
+
+def _count_refusal(dim: int, space: str, k: int) -> Optional[str]:
+    """Why orbits on k-tuples of the space are not counted, or None."""
+    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
+    if bits * k > _EXACT_BITS:
+        return (
+            f"{k}-tuples of 2^{bits} points take {bits * k} bits, "
+            f"past the cap of {_EXACT_BITS} bits"
+        )
+    return None
 
 
 def _subspaces(k: int, d: int) -> int:
@@ -377,7 +385,8 @@ def _orbit_classes(group: str, dim: int, space: str, k: int) -> tuple[int, bool,
 @lru_cache(maxsize=256)
 def _orbit_count(group: str, dim: int, space: str, k: int) -> int:
     """The number of orbits on k-tuples: F_(k+1), the exact potential.
-    At most 256 ints of at most 8193 bits are kept, about 300 kB."""
+    Callers apply _count_refusal first, so a refused request leaves the
+    memo as it was, and at most 256 ints of at most 8193 bits are kept."""
     return sum(count for _, _, count in _orbit_classes(group, dim, space, k)[2])
 
 
@@ -423,33 +432,23 @@ def orbit_decomposition(
     Walter, arXiv:1712.08628); the number of orbits on (t-1)-tuples is
     the t-th frame potential.
 
-    Every argument is checked before three limits, and a request beyond
-    one raises ValueError before any list is built: a tuple order of at
-    most 16; a points-bits x tuple order of at most 8192 (_EXACT_BITS),
-    which bounds every size by 2^8192 so that it prints in full; and at
-    most 2^16 orbits, counted from the multiplicities.
+    Every argument is checked before two limits, and a request past
+    either raises ValueError before any list is built: points-bits x
+    tuple order at most 8192 (_count_refusal, as for exact potentials),
+    so that every size prints in full, and at most 2^16 orbits, counted
+    from the multiplicities.  No cap bounds the tuple order itself.
     """
-    level_bits(group, dim)  # validates group and dim
+    _check_space(group, dim, space)
     if tuple_order < 1:
         raise ValueError("tuple order must be >= 1")
-    if space not in ("full", "even_quotient"):
-        raise ValueError(f"unknown space {space!r}")
-    if space == "even_quotient" and dim % 2:
-        raise ValueError("even quotient needs even dimension")
-    if group == "symplectic" and space == "even_quotient":
-        raise ValueError("the symplectic group does not act on the even quotient")
-    if tuple_order > _TUPLE_CAP:
-        raise ValueError(f"tuple order {tuple_order} exceeds the cap of {_TUPLE_CAP}")
-    bits = dim - 2 if space == "even_quotient" else dim  # log2 of the point count
-    if bits * tuple_order > _EXACT_BITS:
-        raise ValueError(
-            f"{tuple_order}-tuples of 2^{bits} points take {bits * tuple_order} bits, "
-            f"past the cap of {_EXACT_BITS} bits per orbit size"
-        )
+    refusal = _count_refusal(dim, space, tuple_order)
+    if refusal:
+        raise ValueError(refusal)
     n, first_nonzero, classes = _orbit_classes(group, dim, space, tuple_order)
     total = sum(count for _, _, count in classes)
     if total > _ORBIT_CAP:
-        raise ValueError(f"{total} orbits exceed the cap of 2^16 orbits per list")
+        shown = total if total.bit_length() <= 64 else f"at least 2^{total.bit_length() - 1}"
+        raise ValueError(f"{shown} orbits exceed the cap of 2^16 orbits per list")
     labels = (1 << 2 * n) - 1 if first_nonzero else 1  # the nonzero labels, one Sp(2n) orbit
     sizes = []
     for size, count in sorted((_embeddings(n, m, s) // labels, c) for m, s, c in classes):

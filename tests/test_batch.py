@@ -637,7 +637,7 @@ def _assert_quick_refusal(argv, message):
     [
         (["order", "--group", "o", "--dim", "1000000"], "more than 4300 digits"),
         (["order", "--group", "sp", "--dim", "1000000"], "more than 4300 digits"),
-        (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--exact"], "exact-mode cap"),
+        (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--exact"], "cap of 8192 bits"),
         (["sample", "--group", "o", "--dim", "1000000"], "cap of 4096 labels"),
         (["sample", "--group", "sp", "--dim", "1000000", "--index", "1"], "cap of 4096 labels"),
         (["frame", "--group", "o", "--dim", "1000000", "--t", "2", "--samples", "1"], "cap of 4096 labels"),

@@ -312,7 +312,7 @@ class TestFrame:
             capsys, "frame", "--group", "o", "--dim", "5", "--t", "3",
             "--exact", "--parity-restricted",
         )
-        assert code == 1 and out == "" and "N even" in err
+        assert code == 1 and out == "" and "even quotient needs even dimension" in err
 
     @pytest.mark.parametrize("t", ["100000000000000000000", "5000"])
     def test_exact_bit_cap_exits_quickly(self, capsys, t):
@@ -383,6 +383,17 @@ class TestFrameJsonValidity:
         # at least the 2^1592 / |O(8)| orbits of the tuples, at most all of them
         assert (1 << 1592) // group_order("orthogonal", 8) < value < 1 << 1592
 
+    def test_restricted_overflow_at_the_quotient_cap_points_at_exact_which_answers(self, capsys):
+        # (4 - 2) x (t - 1) = 8192 bits on the even quotient, as for Sp(2)
+        argv = ["frame", "--group", "o", "--dim", "4", "--t", "4097", "--parity-restricted"]
+        code, out, err = run(capsys, *argv, "--samples", "10", "--seed", "1")
+        assert code == 1 and out == "" and "use exact mode (--exact)" in err
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--exact")
+        assert time.perf_counter() - start < 1.0
+        _, sp, _ = run(capsys, "frame", "--group", "sp", "--dim", "2", "--t", "4097", "--exact")
+        assert code == 0 and err == "" and json.loads(out)["value"] == json.loads(sp)["value"]
+
     def test_library_json_refuses_non_finite(self):
         from pclifford.design import FramePotentialReport
 
@@ -424,9 +435,8 @@ class TestOrbits:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "10000000"),
             ("--group", "o", "--dim", "4", "--tuple-order", "100000000"),
-            ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", "17"),
+            ("--group", "o", "--dim", "1", "--tuple-order", "8192"),  # 2^8192 orbits
             ("--group", "sp", "--dim", "4096", "--tuple-order", "3"),  # 12288 bits
             ("--group", "sp", "--dim", "64", "--tuple-order", "6"),  # 151470 orbits
             ("--group", "o", "--dim", str(2**70)),
@@ -439,6 +449,14 @@ class TestOrbits:
         assert code == 1 and out == ""
         assert "cap" in err
         assert len(err) < 200  # names the limit, not a giant tuple count
+
+    @pytest.mark.parametrize("k", ["17", "10000000"])
+    def test_the_one_point_quotient_of_o2_answers_at_any_tuple_order(self, capsys, k):
+        argv = ("--group", "o", "--dim", "2", "--space", "even-quotient", "--tuple-order", k)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "orbits", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["sizes"] == [1]
 
     @pytest.mark.parametrize("dim", ["16", "18"])
     def test_single_labels_past_the_old_tuple_cap_answer(self, capsys, dim):

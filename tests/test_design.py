@@ -21,6 +21,7 @@ from pclifford.group import (
     LABEL_CAP,
     OrthogonalMap,
     group_order,
+    level_sizes,
     sample_orthogonal,
     sample_orthogonal_random,
     sample_symplectic,
@@ -140,9 +141,9 @@ class TestFramePotential:
     @pytest.mark.parametrize("dim", [1, 3, 5, 7])
     def test_parity_restriction_needs_even_dim(self, dim):
         # at odd dim the all-ones vector is odd, so there is no even quotient
-        with pytest.raises(ValueError, match="N even"):
+        with pytest.raises(ValueError, match="even quotient needs even dimension"):
             parity_frame_potential(dim, 3)
-        with pytest.raises(ValueError, match="N even"):
+        with pytest.raises(ValueError, match="even quotient needs even dimension"):
             parity_frame_potential(dim, 3, mode="monte_carlo", seed=1, samples=10)
 
     def test_bad_arguments(self):
@@ -154,7 +155,7 @@ class TestFramePotential:
             frame_potential("unitary", 4, 2)
 
     def test_exact_bit_cap(self):
-        # dim (t - 1) bounds the bits of each summand 2^(e(t - 1))
+        # dim (t - 1), or (dim - 2)(t - 1) restricted, bounds the bits of the count
         for call in (
             lambda: frame_potential("orthogonal", 4, 10**20),
             lambda: frame_potential("orthogonal", 4, 5000),
@@ -241,7 +242,7 @@ def test_the_orbit_count_memo_is_bounded():
     "kind, dim, restricted, t",
     [
         ("orthogonal", 8, False, 1026),  # 8 x 1025 bits, past the cap
-        ("orthogonal", 8, True, 1026),
+        ("orthogonal", 8, True, 1367),  # 6 x 1366 bits on the even quotient
         ("symplectic", 8192, False, 3),
         ("orthogonal", 4, False, 0),
         ("symplectic", 3, False, 2),
@@ -287,8 +288,9 @@ def test_every_request_under_the_cap_answers_within_a_second_cold(kind, dim, res
 
 
 def test_the_longest_tuples_of_o2():
-    """Restricted O(2) acts on one point."""
+    """Restricted O(2) acts on one point, 0 bits, at any tuple order."""
     assert exact_value("orthogonal", 2, True, 4097) == 1
+    assert exact_value("orthogonal", 2, True, 10**6) == 1
     # O(2) = {I, the swap}: 2^4096 tuples, 2^2048 of them fixed by the swap
     assert exact_value("orthogonal", 2, False, 4097) == (4**4096 + 2**4096) // 2
 
@@ -301,10 +303,10 @@ def test_the_longest_tuples_of_o2():
 
 def test_restricted_orthogonal_is_a_3_design_and_not_a_4_design_at_every_size():
     """Restricted O(2n) has the Haar potentials of U(2^(n - 1)) at t = 1,
-    2, 3 and a larger one at t = 4, from 4 labels to 2730, the largest
-    dim that t = 4 admits (2730 x 3 <= 8192)."""
-    assert 2730 * 3 <= _EXACT_BITS < 2732 * 3
-    for dim in range(4, 2731, 2):
+    2, 3 and a larger one at t = 4, from 4 labels to 2732, the largest
+    dim that t = 4 admits ((2732 - 2) x 3 <= 8192 on the even quotient)."""
+    assert (2732 - 2) * 3 <= _EXACT_BITS < (2734 - 2) * 3
+    for dim in range(4, 2733, 2):
         haar_dim = 2 ** (dim // 2 - 1)
         for t in (1, 2, 3):
             assert parity_frame_potential(dim, t).value == haar_frame_potential(t, haar_dim), (dim, t)
@@ -312,11 +314,24 @@ def test_restricted_orthogonal_is_a_3_design_and_not_a_4_design_at_every_size():
 
 
 @pytest.mark.parametrize(
-    "n, f4, f5", [(2, 15, 51), (3, 29, 219), (4, 30, 269), (5, 30, 270)]
+    "n, f4, f5", [(2, 15, 51), (3, 29, 219), (4, 30, 269), (5, 30, 270), (1025, 30, 270)]
 )
 def test_restricted_potentials_at_t_4_and_5(n, f4, f5):
     assert parity_frame_potential(2 * n, 4).value == f4
     assert parity_frame_potential(2 * n, 5).value == f5
+
+
+@pytest.mark.parametrize("dim, t", [(4, 4097), (6, 2049), (2050, 5)])
+def test_restricted_orthogonal_is_symplectic_up_to_the_cap(dim, t):
+    """Restricted O(dim) counts orbits on the even quotient, 2^(dim - 2)
+    points acted on as Sp(dim - 2), under the cap the Sp count has: the
+    edge is answered and one step past it is refused."""
+    assert (dim - 2) * (t - 1) <= _EXACT_BITS < (dim - 2) * t
+    assert parity_frame_potential(dim, t).value == frame_potential("symplectic", dim - 2, t).value
+    with pytest.raises(ValueError, match="past the cap of 8192 bits"):
+        parity_frame_potential(dim, t + 1)
+    with pytest.raises(ValueError, match="past the cap of 8192 bits"):
+        frame_potential("symplectic", dim - 2, t + 1)
 
 
 class TestHaarReference:
@@ -591,13 +606,18 @@ def witt_orbit_count(group: str, dim: int, space: str, k: int) -> int:
 
 def check_orbit_sizes(group: str, dim: int, space: str, k: int, sizes: list[int]):
     """The sizes sum to the tuple count, each divides the group order (up
-    to LABEL_CAP, past which group_order builds no level sizes), and
-    there are as many as the Witt count says."""
+    to LABEL_CAP, past which no level sizes are built), and there are as
+    many as the Witt count says.  A size divides the product of the level
+    sizes iff peeling gcd(r, s) off r for each level size s ends at 1,
+    since gcd(a / g, s / g) = 1: the order itself is never formed."""
     bits = dim - 2 if space == "even_quotient" else dim
     assert sum(sizes) == 1 << (bits * k)
     if dim <= LABEL_CAP:
-        order = group_order(group, dim)
-        assert all(order % size == 0 for size in set(sizes))
+        for size in set(sizes):
+            r = size
+            for s in level_sizes(group, dim):
+                r //= math.gcd(r, s)
+            assert r == 1, size
     assert len(sizes) == witt_orbit_count(group, dim, space, k)
 
 
@@ -695,10 +715,12 @@ class TestOrbits:
     @pytest.mark.parametrize(
         "dim, k, group, space, message",
         [
-            (2, 17, "orthogonal", "even_quotient", "tuple order 17 exceeds the cap of 16"),
-            (1, 17, "orthogonal", "full", "tuple order 17 exceeds the cap of 16"),
+            (1, 17, "orthogonal", "full", "131072 orbits exceed the cap of 2^16"),
+            (1, 8192, "orthogonal", "full", "at least 2^8192 orbits exceed the cap of 2^16"),
             (4096, 3, "symplectic", "full", "take 12288 bits, past the cap of 8192"),
             (8193, 1, "orthogonal", "full", "take 8193 bits, past the cap of 8192"),
+            (4, 4097, "orthogonal", "even_quotient", "take 8194 bits, past the cap of 8192"),
+            (2050, 5, "orthogonal", "even_quotient", "take 10240 bits, past the cap of 8192"),
             (64, 6, "symplectic", "full", "151470 orbits exceed the cap of 2^16"),
             (64, 5, "orthogonal", "full", "146880 orbits exceed the cap of 2^16"),
         ],
@@ -722,6 +744,12 @@ class TestOrbits:
     )
     def test_requests_past_the_search_are_answered(self, dim, k, group, space):
         check_orbit_sizes(group, dim, space, k, orbit_decomposition(dim, k, group, space))
+
+    @pytest.mark.parametrize("k", [17, 10**7])
+    def test_the_one_point_quotient_of_o2_answers_at_any_tuple_order(self, k):
+        start = time.perf_counter()
+        assert orbit_decomposition(2, k, "orthogonal", "even_quotient") == [1]
+        assert time.perf_counter() - start < 1.0
 
     def test_orthogonal_4_five_tuples_give_the_exact_potential(self):
         assert len(orbit_decomposition(4, 5, "orthogonal")) == frame_potential("orthogonal", 4, 6).value
