@@ -19,8 +19,8 @@ Layers, bottom up:
   quotient embedding.
 - batch: numpy batches of the group builders, the rank and the
   fixed-point exponent for up to 64 labels; design loads it with its
-  first Monte Carlo potential, so importing the package does not load
-  numpy.
+  first Monte Carlo potential of at most 64 labels, so importing the
+  package does not load numpy.
 
 The package exports the __all__ lists of f2core, strings, group,
 stabilizer and design, and nothing else.

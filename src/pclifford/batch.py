@@ -27,25 +27,26 @@ _rank_one call each, so no update's temporaries outlive it, on a (k, B)
 array with one vector per element.
 
 A random batch reads its small levels from tables memoized for the
-process, each at most _TABLE_PICKS = 4096 columns.  Levels 2..m build
-the group of m labels on the bottom m rows, whatever dim is; where that
-group has at most 4096 elements, one index into a table of all of them
-replaces those levels.  The table is one batch of every pick list of
-those levels, level 2 varying slowest and within a level the first
-entry, so the index is the picks of levels 2..m in mixed radix.  These
-are O(5) and Sp(4), 720 elements each, 28.8 kB and 23 kB; a smaller
-group is read whole.  Above m, the vectors depend on the group, the
-level k and the picks, never on dim, so a level of at most 4096 picks
-reads them from a table of the vector function on every pick, with one
-fancy index: O(N) levels 6..13 and Sp level 6, 9 tables and about 260
-kB.  Larger levels compute their vectors per batch.  Both steps take
-the levels, the entries each reads and their radices from group.levels
-and group.level_sizes, and the vector function from a table keyed by
-kind, so nothing here branches on the kind of group.
+process, each at most _TABLE_PICKS = 4096 columns, and every table lays
+its picks out in the samplers' index order (_every_pick, folded back by
+_index): column c of a subgroup table is the element at sampler index
+c + 1.  Levels 2..m build the group of m labels on the bottom m rows,
+whatever dim is, from the last entries of the pick list, a pick list of
+that group; where it has at most 4096 elements, one column of its table
+replaces those levels.  These are O(5) and Sp(4), 720 elements each,
+28.8 kB and 23 kB; a smaller group is read whole.  Above m, the vectors
+depend on the group, the level k and the picks, never on dim, so a
+level of at most 4096 picks reads them from a table of the vector
+function on every pick, with one fancy index: O(N) levels 6..13 and Sp
+level 6, 9 tables and about 260 kB.  Larger levels compute their
+vectors per batch.  Both steps take the levels, the entries each reads
+and their radices from group.levels and group.level_sizes, and the
+vector function from a table keyed by kind, so nothing here branches on
+the kind of group.
 
-design loads this module on its first Monte Carlo potential, so
-importing the package, and exact mode, neither compile it nor load
-numpy.
+design loads this module on its first Monte Carlo potential of at
+most 64 labels, so importing the package, exact mode and Monte Carlo
+past 64 labels neither compile it nor load numpy.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ def group_rows_batch(kind: str, dim: int, picks) -> np.ndarray:
     # entry i of every pick list in one contiguous row, as the rows
     picks = np.ascontiguousarray(np.asarray(picks, dtype=np.uint64).T)
     rows = np.repeat(_identity(dim), picks.shape[1], axis=1)
-    # levels 2..m, whose group has at most _TABLE_PICKS elements, are one
-    # column of its table: their entries as one index, level 2 slowest
+    # levels 2..m, whose group has at most _TABLE_PICKS elements, read the
+    # entries from dim - m on: a pick list of that group, one table column
     low = list(takewhile(lambda level: group_order(kind, level[0]) <= _TABLE_PICKS, table))
     if low:
         m = low[-1][0]
-        entries = [e for _, level_entries in low for e in level_entries]
-        index = _mixed_radix([picks[e] for e in entries], [sizes[e] for e in entries])
-        rows[dim - m :] = _subgroup_table(kind, m)[:, index]
+        rows[dim - m :] = _subgroup_table(kind, m)[:, _index(picks[dim - m :], sizes[dim - m :])]
     _build_levels(rows, kind, table[len(low) :], sizes, picks)
     return rows
 
@@ -232,14 +231,27 @@ def _symplectic_vectors(k: int, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndar
 _VECTORS = {"orthogonal": _orthogonal_vectors, "symplectic": _symplectic_vectors}
 
 
+def _every_pick(radices) -> np.ndarray:
+    """Every pick list of the radices as a column: column c folds to c by _index."""
+    return np.indices(radices[::-1], np.uint64).reshape(len(radices), math.prod(radices))[::-1]
+
+
+def _index(picks, radices) -> np.ndarray:
+    """The column of each pick list, picks[i] being entry i of every list:
+    index - 1 of group's samplers, the inverse of _every_pick."""
+    if not len(radices):
+        return np.zeros(picks.shape[1:], np.uint64)  # the one empty pick list
+    index = picks[-1]
+    for p, r in zip(picks[-2::-1], radices[-2::-1]):
+        index = index * r + p
+    return index
+
+
 @lru_cache(maxsize=None)
 def _level_table(kind: str, k: int, radices: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-    """The vector function of a level on every pick, read-only: column c
-    is the pick that reads c in mixed radix, the first entry slowest.  A
-    batch reads one column per pick list where the level has at most
-    _TABLE_PICKS picks."""
-    picks = np.indices(radices, np.uint64).reshape(len(radices), -1)
-    vectors, layout = _VECTORS[kind](k, *picks)
+    """The vector function of a level on every pick, by _every_pick,
+    read-only: a batch reads it where the level has <= _TABLE_PICKS picks."""
+    vectors, layout = _VECTORS[kind](k, *_every_pick(radices))
     vectors.flags.writeable = False
     return vectors, layout
 
@@ -251,31 +263,18 @@ def _level_vectors(kind: str, k: int, radices: tuple[int, ...], picks) -> tuple[
     if math.prod(radices) > _TABLE_PICKS:
         return _VECTORS[kind](k, *picks)
     vectors, layout = _level_table(kind, k, radices)
-    return vectors[:, _mixed_radix(picks, radices)], layout
-
-
-def _mixed_radix(picks, radices) -> np.ndarray:
-    """The picks as one mixed-radix index, the first entry most significant."""
-    index = picks[0]
-    for p, r in zip(picks[1:], radices[1:]):
-        index = index * r + p
-    return index
+    return vectors[:, _index(picks, radices)], layout
 
 
 @lru_cache(maxsize=None)
 def _subgroup_table(kind: str, m: int) -> np.ndarray:
     """Every element of the group of levels 2..m, as (m, order) rows,
-    read-only: column c is the pick list whose entries, in levels order
-    (level 2 slowest), read c in mixed radix.  At most _TABLE_PICKS
-    columns, built as one batch of every such pick list."""
-    table, sizes = levels(kind, m), level_sizes(kind, m)
-    entries = [e for _, level_entries in table for e in level_entries]
-    radices = [sizes[e] for e in entries]
-    digits = np.indices(radices, np.uint64).reshape(len(entries), math.prod(radices))
-    picks = np.empty_like(digits)
-    picks[entries] = digits  # each digit row back to its entry
-    rows = np.repeat(_identity(m), digits.shape[1], axis=1)
-    _build_levels(rows, kind, table, sizes, picks)
+    read-only: column c is the element at sampler index c + 1.  At most
+    _TABLE_PICKS columns, built as one batch of every pick list."""
+    sizes = level_sizes(kind, m)
+    picks = _every_pick(sizes)
+    rows = np.repeat(_identity(m), picks.shape[1], axis=1)
+    _build_levels(rows, kind, levels(kind, m), sizes, picks)
     rows.flags.writeable = False
     return rows
 

@@ -33,8 +33,9 @@ draws as the samplers, at about a third of the cost of randrange.  Up to
 64 labels the run goes in chunks of at most 1024 pick lists, drawn
 straight into uint64 and built and ranked in numpy (a chunk at 64 labels
 peaks near 3 MB).  Past 64 labels a row does not fit a uint64, so each
-sample is built by the scalar group_rows and ranked by _exponent: the
-stream holds one element, dim Python ints, at a time.
+sample is built by the scalar group_rows and ranked by _exponent, and
+numpy is not loaded: the stream holds one element, dim Python ints, at
+a time.
 
 Monte Carlo estimates report mean and standard error of the mean (null
 for a single sample).  A run is reproducible from (seed, dim, samples)
@@ -185,8 +186,9 @@ def _potential(
 ) -> FramePotentialReport:
     space = "even_quotient" if restricted else "full"
     _check_space(kind, dim, space)
-    if t < 1:
-        raise ValueError("frame potential order must be >= 1")
+    # bools and floats are refused as the seed is: they would print as such
+    if type(t) is not int or t < 1:
+        raise ValueError(f"frame potential order must be an int >= 1, not {t!r}")
     if mode == "exact":
         refusal = _count_refusal(dim, space, t - 1)
         if refusal:
@@ -195,13 +197,11 @@ def _potential(
         return FramePotentialReport(kind, dim, t, "exact", restricted, value=Fraction(count))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if type(samples) is not int or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, not {samples!r}")
     # only these can be recorded and passed back to replay the run
     if not (seed is None or isinstance(seed, random.Random) or type(seed) is int):
         raise ValueError(f"seed must be None, an int or a random.Random, not {seed!r}")
-    from . import batch  # numpy, loaded with the first Monte Carlo potential
-
     if seed is None:
         seed = next(random_draws(random.SystemRandom(), [1 << 53]))
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -210,6 +210,8 @@ def _potential(
         pick_lists = (list(random_draws(rng, sizes)) for _ in range(samples))
         stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in pick_lists)
     else:
+        from . import batch  # numpy, loaded with the first potential of <= 64 labels
+
         # chunks in sample order; the last draws only the samples that remain
         chunks = (
             batch.random_picks(rng, sizes, min(_MC_BATCH, samples - lo))
@@ -439,8 +441,8 @@ def orbit_decomposition(
     from the multiplicities.  No cap bounds the tuple order itself.
     """
     _check_space(group, dim, space)
-    if tuple_order < 1:
-        raise ValueError("tuple order must be >= 1")
+    if type(tuple_order) is not int or tuple_order < 1:
+        raise ValueError(f"tuple order must be an int >= 1, not {tuple_order!r}")
     refusal = _count_refusal(dim, space, tuple_order)
     if refusal:
         raise ValueError(refusal)

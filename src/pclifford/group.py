@@ -29,8 +29,11 @@ leaves the same state, and any other rng draws by its own randrange.
 Index samplers read index - 1 as a mixed-radix number whose least
 significant digit is the first entry, and the group order is the
 product of the sizes.  Reordering the entries changes every seeded and
-indexed output.  The batch module builds whole arrays of pick lists at
-once, each element equal to what group_rows gives.
+indexed output.  The entries from dim - m on are a pick list of the
+group on m labels, which levels 2..m build.  The batch module builds
+whole arrays of pick lists at once, each element equal to what
+group_rows gives, and lays its tables out in the same index order:
+column c holds the pick list of index c + 1.
 """
 
 from __future__ import annotations
@@ -190,6 +193,8 @@ LABEL_CAP = 4096
 
 
 def _check_group(kind: str, dim: int) -> None:
+    if type(dim) is not int:  # a bool or float would pass into every report
+        raise ValueError(f"dimension must be an int, not {dim!r}")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if kind == "symplectic" and dim % 2:
@@ -223,7 +228,7 @@ def level_bits(kind: str, dim: int) -> int:
     return dim * dim // 2
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # group_order(kind, True) is checked, not a hit for 1
 def group_order(kind: str, dim: int) -> int:
     """The product of the level sizes, pairwise: a left fold is quadratic."""
     sizes = level_sizes(kind, dim)

@@ -6,9 +6,11 @@ element by element.  The prefix tree that exact mode walked before it
 became the Witt orbit count is kept here as the reference of exact
 potentials: it must give every element of the group once, its histogram
 the counts of the scalar exponents, and the potentials of its histogram
-those of exact mode.  Each subgroup table must be group_rows of every pick list in
-its index order, each level table its vector function on every pick,
-and group.random_draws must draw what rng.randrange draws, to the final
+those of exact mode.  Every table is laid out in the samplers' index
+order: column c of a subgroup table must be the public sampler's
+element at index c + 1, column c of a level table its vector function
+on the pick that _index folds to c, and the tail of a pick list must
+fold to the index of its subgroup's pick list.  group.random_draws must draw what rng.randrange draws, to the final
 state of the rng.  Dimension 64 is the edge of the uint64 rows; the
 restricted rank writes its augmented bit into bit 0, so no row needs a
 65th bit.
@@ -56,7 +58,9 @@ from pclifford.group import (
     level_sizes,
     levels,
     random_draws,
+    sample_orthogonal,
     sample_orthogonal_random,
+    sample_symplectic,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -147,13 +151,13 @@ def test_tables_cover_the_small_levels_in_about_270_kb():
 
 @pytest.mark.parametrize("kind, k, radices", tabulated_levels())
 def test_level_table_is_the_vector_function_on_every_pick(kind, k, radices):
-    """Column c of a table is the vector function on the c-th pick, the
-    first entry varying slowest; applied to the identity, it makes the
-    scalar level of group."""
+    """Column c of a table is the vector function on the pick at index c,
+    the first entry varying fastest; applied to the identity, it makes
+    the scalar level of group."""
     batch._level_table.cache_clear()
     vectors, layout = batch._level_table(kind, k, radices)
     assert not vectors.flags.writeable
-    every = list(itertools.product(*map(range, radices)))
+    every = [p[::-1] for p in itertools.product(*map(range, radices[::-1]))]
     assert vectors.shape[1] == len(every)
     one = [batch._VECTORS[kind](k, *np.array(p, np.uint64)[:, None]) for p in every]
     assert all(lay == layout for _, lay in one)
@@ -179,21 +183,37 @@ SUBGROUPS = [
 
 @pytest.mark.parametrize("kind, m", SUBGROUPS)
 def test_subgroup_table_is_group_rows_in_index_order(kind, m):
-    """Column c of a subgroup table is group_rows of the pick list whose
-    entries, in levels order (level 2 slowest), read c in mixed radix."""
+    """Column c of a subgroup table is the element the public sampler
+    gives at index c + 1."""
     batch._subgroup_table.cache_clear()
     table = batch._subgroup_table(kind, m)
     assert not table.flags.writeable
-    sizes = level_sizes(kind, m)
-    entries = [e for _, level_entries in levels(kind, m) for e in level_entries]
-    want = []
-    for digits in itertools.product(*(range(sizes[e]) for e in entries)):
-        picks = [0] * len(sizes)
-        for e, d in zip(entries, digits):
-            picks[e] = d
-        want.append(group_rows(kind, m, picks))
-    assert len(want) == group_order(kind, m)
+    sample = sample_orthogonal if kind == "orthogonal" else sample_symplectic
+    want = [list(sample(m, c + 1).m.data) for c in range(group_order(kind, m))]
     assert table.T.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "radices",
+    [(), (7,), tuple(level_sizes("orthogonal", 5)), tuple(level_sizes("symplectic", 4))],
+    ids=["empty", "one-entry", "O5", "Sp4"],
+)
+def test_index_folds_every_pick_back_to_its_column(radices):
+    picks = batch._every_pick(radices)
+    assert picks.shape == (len(radices), math.prod(radices)) and picks.dtype == np.uint64
+    assert np.array_equal(batch._index(picks, radices), np.arange(math.prod(radices)))
+
+
+@pytest.mark.parametrize("kind, m", SUBGROUPS)
+def test_the_tail_of_a_pick_list_folds_to_its_subgroup_index(kind, m):
+    """Levels 2..m of O(64) and Sp(64) read the entries from 64 - m on, a
+    pick list of the group on m labels: its table column is its index."""
+    dim = 64
+    sizes = level_sizes(kind, dim)
+    assert sizes[dim - m :] == level_sizes(kind, m)
+    tails = np.array(seeded_pick_lists(kind, dim, 200, seed=m), np.uint64).T[dim - m :]
+    index = batch._index(tails, sizes[dim - m :])
+    assert [_index_picks(kind, m, i + 1) for i in index.tolist()] == tails.T.tolist()
 
 
 def test_random_batches_build_the_two_subgroup_tables_in_64_kb():

@@ -945,6 +945,32 @@ class TestMonteCarloSeed:
             parity_frame_potential(4, 2, mode="monte_carlo", seed=seed, samples=5)
 
 
+MC = {"mode": "monte_carlo", "seed": 1, "samples": 5}
+
+
+@pytest.mark.parametrize("x", [True, False, 2.0])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: frame_potential("orthogonal", x, 2), "dimension must be an int"),
+        (lambda x: frame_potential("symplectic", x, 2, **MC), "dimension must be an int"),
+        (lambda x: parity_frame_potential(x, 2), "dimension must be an int"),
+        (lambda x: frame_potential("orthogonal", 4, x), "frame potential order must be an int"),
+        (lambda x: frame_potential("orthogonal", 4, x, **MC), "frame potential order must be an int"),
+        (lambda x: parity_frame_potential(4, x, **MC), "frame potential order must be an int"),
+        (lambda x: frame_potential("orthogonal", 4, 2, **{**MC, "samples": x}), "samples must be an int"),
+        (lambda x: orbit_decomposition(x, 1, "orthogonal"), "dimension must be an int"),
+        (lambda x: orbit_decomposition(4, x, "orthogonal"), "tuple order must be an int"),
+    ],
+    ids=["dim", "mc-dim", "parity-dim", "t", "mc-t", "parity-t", "samples", "orbits-dim", "orbits-k"],
+)
+def test_bools_and_floats_are_refused_where_ints_are_read(call, message, x):
+    """The seed rule, type(x) is int, at every int argument: True == 1 and
+    2.0 == 2, yet a report would print them as true and 2.0."""
+    with pytest.raises(ValueError, match=f"{message}.*, not {x!r}$"):
+        call(x)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [(lambda: orbit_decomposition(4, 1, "orthogonal", "x"), "unknown space 'x'")],

@@ -172,6 +172,28 @@ class TestGroupOrder:
             group_order("orthogonal", 0)
 
 
+@pytest.mark.parametrize("dim", [True, False, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: sample_orthogonal(d, 1),
+        lambda d: sample_orthogonal_random(d, seed=1),
+        lambda d: sample_symplectic(d, 1),
+        lambda d: sample_symplectic_random(d, seed=1),
+        lambda d: level_sizes("orthogonal", d),
+        lambda d: level_bits("symplectic", d),
+        lambda d: group_order("orthogonal", d),
+    ],
+    ids=["index", "random", "sp-index", "sp-random", "sizes", "bits", "order"],
+)
+def test_a_dimension_that_is_not_an_int_is_refused(call, dim):
+    """True == 1 and 2.0 == 2, yet they would print as true and 2.0 in a
+    report: the group check takes ints only, before the order's memo."""
+    group_order("orthogonal", 1), group_order("orthogonal", 2)
+    with pytest.raises(ValueError, match=f"dimension must be an int, not {dim!r}"):
+        call(dim)
+
+
 class TestSampleOrthogonal:
     def test_dim_1(self):
         assert sample_orthogonal(1, 1).m == BitMatrix.identity(1)

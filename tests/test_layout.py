@@ -78,7 +78,8 @@ def call_sites(path, name):
 
 
 def test_design_builds_group_elements_at_one_site():
-    """Exact and Monte Carlo potentials share one stream of exponents."""
+    """Monte Carlo past 64 labels builds each element by one group_rows
+    call; below, batch builds them, and exact mode builds none."""
     assert len(call_sites(SRC / "design.py", "group_rows")) == 1
 
 
@@ -580,6 +581,20 @@ def test_importing_the_library_loads_no_batch_kernels():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
+def test_monte_carlo_past_64_labels_loads_no_numpy():
+    """Past 64 labels each sample is the scalar group_rows and _exponent,
+    so the batch module and numpy stay unloaded."""
+    code = (
+        "import sys\n"
+        "from pclifford import design\n"
+        "rep = design.frame_potential('orthogonal', 66, 2, mode='monte_carlo', seed=1, samples=2)\n"
+        "assert rep.samples == 2\n"
+        "assert 'numpy' not in sys.modules and 'pclifford.batch' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
 def test_importing_the_cli_loads_no_numpy():
     """Only the verify suites that compare with the dense oracle load it."""
     code = "import sys, pclifford.cli\nassert 'numpy' not in sys.modules\n"
@@ -601,8 +616,8 @@ def test_exact_mode_loads_no_numpy():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
-def test_orbit_search_loads_no_numpy():
-    """orbit_decomposition stays pure Python."""
+def test_orbit_lists_load_no_numpy():
+    """The orbits command lists Witt counts in pure Python."""
     code = (
         "import sys\n"
         "from pclifford import cli\n"
@@ -611,6 +626,75 @@ def test_orbit_search_loads_no_numpy():
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+# every pick list is enumerated in one order, by one helper of batch
+ENUMERATION_MODULE, ENUMERATION_HELPER = "batch", "_every_pick"
+
+
+def numpy_indices(path):
+    """Line numbers naming numpy's indices, as np.indices, numpy.indices
+    or an import from numpy, outside the enumeration helper of batch."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helpers = [
+        node for node in ast.walk(tree)
+        if path.stem == ENUMERATION_MODULE
+        and isinstance(node, ast.FunctionDef)
+        and node.name == ENUMERATION_HELPER
+    ]
+    inside = {id(sub) for helper in helpers for sub in ast.walk(helper)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (
+                isinstance(node, ast.Attribute)
+                and node.attr == "indices"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            )
+            or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "numpy"
+                and any(alias.name == "indices" for alias in node.names)
+            )
+        )
+    )
+
+
+def test_pick_lists_are_enumerated_only_by_every_pick():
+    """batch._every_pick lays every table out in the samplers' index
+    order; a second np.indices would bring a second order back."""
+    offenders = {
+        path.name: numpy_indices(path)
+        for path in sorted(SRC.glob("*.py"))
+        if numpy_indices(path)
+    }
+    assert offenders == {}
+    tree = ast.parse((SRC / f"{ENUMERATION_MODULE}.py").read_text())
+    helper = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == ENUMERATION_HELPER
+    )
+    assert [n.attr for n in ast.walk(helper) if isinstance(n, ast.Attribute)].count("indices") == 1
+
+
+def test_indices_guard_finds_the_names(tmp_path):
+    text = (
+        "import numpy as np\n"
+        "from numpy import indices, zeros\n"
+        "def _every_pick(radices):\n"
+        "    return np.indices(radices[::-1])\n"
+        "def table(radices):\n"
+        "    return numpy.indices(radices)\n"
+        "grid = np.indices\n"
+        "other = picks.indices\n"
+    )
+    for name, want in (("batch", [2, 6, 7]), ("design", [2, 4, 6, 7])):
+        probe = tmp_path / f"{name}.py"
+        probe.write_text(text)
+        assert numpy_indices(probe) == want
 
 
 def itertools_products(path):
