@@ -2,11 +2,13 @@
 
 The bit convention is the one of f2core: entry i of a length-n vector
 sits at bit position n - i, so the row of a packed matrix addressed by
-bit position p is rows[n - 1 - p].  Every set-bit loop and byte
-selector of the package lives here.  A vector times a matrix is a
-gather of the rows its set bits select; a matrix times a matrix is one
-product, which reads the left factor a byte at a time against a table
-of row XORs.
+bit position p is rows[n - 1 - p], n = len(rows).  A row-list kernel
+reads its row count from its list; a vector kernel takes its width,
+which a packed int does not carry in its leading zeros.  Every set-bit
+loop and byte selector of the package lives here.  A vector times a
+matrix is a gather of the rows its set bits select; a matrix times a
+matrix is one product, which reads the left factor a byte at a time
+against a table of row XORs.
 
 The Jordan-Wigner matrix W (make_form("jw", n), the dense reference) has
 row i equal to the ones at j >= i less i's pair partner, so W x, x^T W
@@ -78,9 +80,11 @@ def jw_row(x: int, n: int) -> int:
     return prefix_parity(x) ^ ((x >> 1) & pair_mask(n))
 
 
-def jw_conjugate(rows, n: int) -> list[int]:
-    """W M W on packed rows: x^T W per row, then one suffix XOR up the rows
-    (row i of W M is the XOR of rows j >= i, less row i + 1 for odd i)."""
+def jw_conjugate(rows) -> list[int]:
+    """W M W on the packed rows of a square M: x^T W per row, then one
+    suffix XOR up the rows (row i of W M is the XOR of rows j >= i, less
+    row i + 1 for odd i)."""
+    n = len(rows)
     mw = [jw_row(r, n) for r in rows]
     out = [0] * n
     acc = 0
@@ -101,8 +105,9 @@ def _selector(x: int) -> bytes:
     return format(x, "b").encode().translate(_BYTE_BITS)
 
 
-def gather(rows, x: int, n: int) -> int:
+def gather(rows, x: int) -> int:
     """x^T R: the XOR of the rows selected by the set bits of x."""
+    n = len(rows)
     w = x.bit_count()
     if w >= 12 and w * w >= 6 * x.bit_length():  # dense: see the module docstring
         return reduce(xor, compress(rows[n - x.bit_length() :], _selector(x)), 0)
@@ -125,9 +130,9 @@ def span_table(vecs) -> list[int]:
     return table
 
 
-def product(a_rows, b_rows, n: int) -> list[int]:
-    """A B on packed rows, B with n rows: the method of Four Russians
-    (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+def product(a_rows, b_rows) -> list[int]:
+    """A B on packed rows, A n = len(b_rows) bits wide: the method of
+    Four Russians (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
 
     The rows of A are rendered once as big-endian bytes, each n bits wide
     after 8 * nb - n leading zeros.  Byte column c then selects from the
@@ -135,6 +140,7 @@ def product(a_rows, b_rows, n: int) -> list[int]:
     of those rows serves byte c of every row of A.  Only one table is
     alive at a time.
     """
+    n = len(b_rows)
     nb = (n + 7) // 8
     text = b"".join([r.to_bytes(nb, "big") for r in a_rows])
     padded = [0] * (8 * nb - n) + list(b_rows)
@@ -153,16 +159,17 @@ def row_parities(rows, x: int) -> int:
     return acc
 
 
-def rank_one(rows: list[int], u: int, h: int, n: int) -> None:
+def rank_one(rows: list[int], u: int, h: int) -> None:
     """In-place left multiplication by I + h u^T on packed rows: the row
     u^T R is XORed into each row selected by h.
 
     The reflection h_a is the pair (a, a); the transvection of h is the
     pair (eta h, h).
     """
-    acc = gather(rows, u, n)
+    acc = gather(rows, u)
     if not acc:
         return
+    n = len(rows)
     w = h.bit_count()
     if w >= 12 and w * w >= 6 * h.bit_length():  # dense, as in gather
         for i in compress(range(n - h.bit_length(), n), _selector(h)):

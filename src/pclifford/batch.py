@@ -127,13 +127,14 @@ def rank_batch(rows: np.ndarray) -> np.ndarray:
 
 def exponents(kind: str, dim: int, restricted: bool, picks) -> np.ndarray:
     """_exponent of the element of each pick list."""
-    return _exponents(group_rows_batch(kind, dim, picks), dim, restricted)
+    return _exponents(group_rows_batch(kind, dim, picks), restricted)
 
 
-def _exponents(rows: np.ndarray, dim: int, restricted: bool) -> np.ndarray:
+def _exponents(rows: np.ndarray, restricted: bool) -> np.ndarray:
     """_exponent of each element of a (dim, B) batch of rows, by its
     formula: dim less the rank of S + I, or restricted, of its rows with
     bit 0 set over j with bit 0 clear."""
+    dim = len(rows)
     kicked = rows ^ _identity(dim)
     if restricted:
         j = np.full((1, kicked.shape[1]), (1 << dim) - 2, np.uint64)

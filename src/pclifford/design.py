@@ -138,8 +138,9 @@ class FramePotentialReport:
 # fixed points by rank
 
 
-def _parity_counts(rows: list[int], dim: int) -> tuple[int, int]:
+def _parity_counts(rows: list[int]) -> tuple[int, int]:
     """(f_plus, c_plus) from two rank computations on S + I."""
+    dim = len(rows)
     kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
     j = (1 << dim) - 1
     r2 = rank_ints(kicked + [j])
@@ -150,9 +151,10 @@ def _parity_counts(rows: list[int], dim: int) -> tuple[int, int]:
     return f_plus, c_plus
 
 
-def _exponent(rows: list[int], dim: int, restricted: bool) -> int:
+def _exponent(rows: list[int], restricted: bool) -> int:
     """e = log2 f, or log2((f_+ + c_+)/2) when restricted: dim less the
     rank of S + I, or of its rows with bit 0 set over j with bit 0 clear."""
+    dim = len(rows)
     kicked = [rows[i] ^ (1 << (dim - 1 - i)) for i in range(dim)]
     if restricted:
         kicked = [r | 1 for r in kicked] + [(1 << dim) - 2]
@@ -162,9 +164,8 @@ def _exponent(rows: list[int], dim: int, restricted: bool) -> int:
 def fixed_point_profile(S: OrthogonalMap | SymplecticMap) -> FixedPointProfile:
     """Counts via kernel ranks of S + I; O(dim^3), no enumeration."""
     rows = list(S.m.data)
-    dim = S.m.rows
-    f = 1 << _exponent(rows, dim, False)
-    f_plus, c_plus = _parity_counts(rows, dim)
+    f = 1 << _exponent(rows, False)
+    f_plus, c_plus = _parity_counts(rows)
     return FixedPointProfile(f, f_plus, c_plus)
 
 
@@ -208,7 +209,7 @@ def _potential(
     sizes = level_sizes(kind, dim)
     if dim > 64:  # past the uint64 rows of the batch module, one at a time
         pick_lists = (list(random_draws(rng, sizes)) for _ in range(samples))
-        stream = (_exponent(group_rows(kind, dim, p), dim, restricted) for p in pick_lists)
+        stream = (_exponent(group_rows(kind, dim, p), restricted) for p in pick_lists)
     else:
         from . import batch  # numpy, loaded with the first potential of <= 64 labels
 
@@ -281,6 +282,11 @@ def haar_frame_potential(t: int, N: int) -> int:
     with at most N rows, f^lam from hook lengths.  It counts the
     permutations of t with no increasing subsequence longer than N
     (Rains, EJC 1998): the Catalan number for N = 2, t! for N >= t."""
+    # the int rule of _potential: True and 2.5 would count as 1 and 2 rows
+    if type(t) is not int:
+        raise ValueError(f"Haar order must be an int, not {t!r}")
+    if type(N) is not int:
+        raise ValueError(f"Haar dimension must be an int, not {N!r}")
     if t < 1 or N < 1:
         raise ValueError("order and dimension must be >= 1")
 
@@ -486,5 +492,5 @@ def quotient_action(S: OrthogonalMap) -> SymplecticMap:
         raise ValueError("quotient action needs an even dimension of at least two mode pairs")
     rows = _embedding_rows(n2)
     # row k of (eta B) S B^T: row k ^ 1 of B through S, read against B
-    out = (row_parities(rows, gather(S.m.data, rows[k ^ 1], n2)) for k in range(n2 - 2))
+    out = (row_parities(rows, gather(S.m.data, rows[k ^ 1])) for k in range(n2 - 2))
     return SymplecticMap(BitMatrix(n2 - 2, n2 - 2, tuple(out)), "pauli")

@@ -149,7 +149,7 @@ class BitMatrix:
         """self @ other by one Four-Russians product (_bits.product)."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        out = product(self.data, other.data, self.cols)
+        out = product(self.data, other.data)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def mulvec(self, v: BitVec) -> BitVec:
@@ -199,6 +199,8 @@ def symp_product(v: BitVec, w: BitVec, basis: str = "majorana") -> int:
 
 def make_form(kind: str, dim: int):
     """Structural matrices and vectors; see the module docstring."""
+    if type(dim) is not int:  # True would format its rows 'True' bits wide
+        raise ValueError(f"dimension must be an int, not {dim!r}")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if kind == "identity":

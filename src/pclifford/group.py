@@ -81,12 +81,13 @@ __all__ = [
 ]
 
 
-def _preserves_form(rows: Sequence[int], n: int, form) -> bool:
-    """S F S^T = F on the packed rows r_i of S (form(x) = F x) as one
-    product: the rows of S F are F r_i (F is symmetric), so S F S^T is S
-    times their transpose, compared with the rows F e_i of F."""
+def _preserves_form(rows: Sequence[int], form) -> bool:
+    """S F S^T = F on the packed rows r_i of a square S (form(x) = F x) as
+    one product: the rows of S F are F r_i (F is symmetric), so S F S^T is
+    S times their transpose, compared with the rows F e_i of F."""
+    n = len(rows)
     sf_t = BitMatrix(n, n, tuple(map(form, rows))).transpose().data
-    return product(rows, sf_t, n) == [form(1 << (n - 1 - i)) for i in range(n)]
+    return product(rows, sf_t) == [form(1 << (n - 1 - i)) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class OrthogonalMap:
         m = self.m
         if m.rows != m.cols:
             raise ValueError("orthogonal map must be square")
-        if not _preserves_form(m.data, m.rows, lambda x: x):
+        if not _preserves_form(m.data, lambda x: x):
             raise ValueError("matrix is not orthogonal")
 
     @property
@@ -129,7 +130,7 @@ class SymplecticMap:
             form = lambda x: x ^ (full if x.bit_count() & 1 else 0)
         else:
             raise ValueError(f"unknown basis {self.basis!r}")
-        if not _preserves_form(self.m.data, n, form):
+        if not _preserves_form(self.m.data, form):
             raise ValueError("matrix does not preserve the symplectic form")
 
     @property
@@ -265,6 +266,8 @@ def _index_picks(kind: str, dim: int, index: int) -> list[int]:
     in range exactly when nothing remains, so the order is not formed."""
     sizes = level_sizes(kind, dim)
     low = level_bits(kind, dim)
+    if type(index) is not int:  # True would pick the element at index 1
+        raise ValueError(f"index must be an int, not {index!r}")
     rem = index - 1
     picks = []
     # the order is below 2^(low + len(sizes)): a longer index is not divided
@@ -327,8 +330,8 @@ def _orthogonal_level(rows: list[int], k: int, idx: int) -> None:
     length k in lexicographic order."""
     f = (idx << 1) | (1 ^ (idx.bit_count() & 1))
     a, b = householder_pair(1 << (k - 1), f, k)
-    rank_one(rows, a, a, len(rows))
-    rank_one(rows, b, b, len(rows))
+    rank_one(rows, a, a)
+    rank_one(rows, b, b)
 
 
 def sample_orthogonal(dim: int, index: int) -> OrthogonalMap:
@@ -382,7 +385,7 @@ def _symplectic_level(rows: list[int], k: int, p1: int, p2: int) -> None:
     c2 = ((rev >> p) << (p + 1)) | (rev & ((1 << p) - 1))
     c2 |= (1 ^ (c2 & y).bit_count() & 1) << p
     for h in _pair_transvections(c1, c2, k):
-        rank_one(rows, eta_swap(h, k), h, len(rows))
+        rank_one(rows, eta_swap(h, k), h)
 
 
 # the level function of each group, for the entries levels gives it
@@ -391,7 +394,7 @@ _LEVEL = {"orthogonal": _orthogonal_level, "symplectic": _symplectic_level}
 
 def _symplectic_map(rows: list[int], dim: int, basis: str) -> SymplecticMap:
     if basis == "majorana":
-        rows = jw_conjugate(rows, dim)  # W M W: the same map on Majorana labels
+        rows = jw_conjugate(rows)  # W M W: the same map on Majorana labels
     # SymplecticMap rejects any other basis
     return SymplecticMap(BitMatrix(dim, dim, tuple(rows)), basis)
 
@@ -440,7 +443,7 @@ def reflection_product(word: Sequence[BitVec], dim: int) -> BitMatrix:
             raise ValueError("word vector length does not match dimension")
         if x.parity:
             raise ValueError("householder vector must have even parity")
-        rank_one(rows, x.bits, x.bits, dim)
+        rank_one(rows, x.bits, x.bits)
     return BitMatrix(dim, dim, tuple(rows))
 
 

@@ -281,14 +281,14 @@ def with_restriction(cases):
 @pytest.mark.parametrize("kind, dim, restricted", with_restriction(EVERY))
 def test_exponents_match_scalar_on_every_pick_list(kind, dim, restricted):
     picks = every_pick_list(kind, dim)
-    want = [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
+    want = [_exponent(group_rows(kind, dim, p), restricted) for p in picks]
     assert exponents(kind, dim, restricted, picks).tolist() == want
 
 
 @pytest.mark.parametrize("kind, dim, restricted", with_restriction(SEEDED))
 def test_exponents_match_scalar_on_seeded_pick_lists(kind, dim, restricted):
     picks = seeded_pick_lists(kind, dim, 300, seed=dim + 1)
-    want = [_exponent(group_rows(kind, dim, p), dim, restricted) for p in picks]
+    want = [_exponent(group_rows(kind, dim, p), restricted) for p in picks]
     assert exponents(kind, dim, restricted, picks).tolist() == want
 
 
@@ -301,8 +301,8 @@ def test_restricted_exponent_matches_the_two_rank_counts(dim):
     else:
         picks = seeded_pick_lists("orthogonal", dim, 200, seed=dim)
     rows = [group_rows("orthogonal", dim, p) for p in picks]
-    want = [sum(_parity_counts(r, dim)).bit_length() - 2 for r in rows]
-    assert [_exponent(r, dim, True) for r in rows] == want
+    want = [sum(_parity_counts(r)).bit_length() - 2 for r in rows]
+    assert [_exponent(r, True) for r in rows] == want
     if dim <= 64:
         assert exponents("orthogonal", dim, True, picks).tolist() == want
 
@@ -351,7 +351,7 @@ def tree_histogram(kind, dim, restricted):
     """Entry e: the elements the tree gives with exponent e."""
     hist = np.zeros(dim + 1, np.int64)
     for rows in every_element(kind, dim):
-        hist += np.bincount(batch._exponents(rows, dim, restricted), minlength=dim + 1)
+        hist += np.bincount(batch._exponents(rows, restricted), minlength=dim + 1)
     return tuple(hist.tolist())
 
 
@@ -372,7 +372,7 @@ def test_prefix_tree_gives_every_element_of_the_index_samplers(kind, dim):
 @pytest.mark.parametrize("kind, dim, restricted", with_restriction(EVERY))
 def test_tree_histogram_counts_the_scalar_exponents(kind, dim, restricted):
     elements = [group_rows(kind, dim, p) for p in every_pick_list(kind, dim)]
-    want = Counter(_exponent(rows, dim, restricted) for rows in elements)
+    want = Counter(_exponent(rows, restricted) for rows in elements)
     hist = tree_histogram(kind, dim, restricted)
     assert len(hist) == dim + 1 and all(type(count) is int for count in hist)
     assert {e: count for e, count in enumerate(hist) if count} == want
@@ -423,7 +423,7 @@ def test_tree_histogram_counts_every_index(kind, dim, restricted):
     assert cold == tuple(want.tolist())
     if (kind, dim) in EVERY:
         elements = (group_rows(kind, dim, p) for p in every_pick_list(kind, dim))
-        scalar = Counter(_exponent(rows, dim, restricted) for rows in elements)
+        scalar = Counter(_exponent(rows, restricted) for rows in elements)
         assert {e: count for e, count in enumerate(cold) if count} == scalar
     assert len(TREE_KEYS) == 13
 

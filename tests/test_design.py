@@ -948,7 +948,7 @@ class TestMonteCarloSeed:
 MC = {"mode": "monte_carlo", "seed": 1, "samples": 5}
 
 
-@pytest.mark.parametrize("x", [True, False, 2.0])
+@pytest.mark.parametrize("x", [True, False, 2.0, 2.5])
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -961,8 +961,13 @@ MC = {"mode": "monte_carlo", "seed": 1, "samples": 5}
         (lambda x: frame_potential("orthogonal", 4, 2, **{**MC, "samples": x}), "samples must be an int"),
         (lambda x: orbit_decomposition(x, 1, "orthogonal"), "dimension must be an int"),
         (lambda x: orbit_decomposition(4, x, "orthogonal"), "tuple order must be an int"),
+        (lambda x: haar_frame_potential(x, 2), "Haar order must be an int"),
+        (lambda x: haar_frame_potential(2, x), "Haar dimension must be an int"),
     ],
-    ids=["dim", "mc-dim", "parity-dim", "t", "mc-t", "parity-t", "samples", "orbits-dim", "orbits-k"],
+    ids=[
+        "dim", "mc-dim", "parity-dim", "t", "mc-t", "parity-t", "samples", "orbits-dim",
+        "orbits-k", "haar-t", "haar-n",
+    ],
 )
 def test_bools_and_floats_are_refused_where_ints_are_read(call, message, x):
     """The seed rule, type(x) is int, at every int argument: True == 1 and

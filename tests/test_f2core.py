@@ -397,6 +397,8 @@ I2 = BitMatrix.identity(2)
         (lambda: symp_product(bv("10"), bv("1010")), ValueError, "length mismatch"),
         (lambda: symp_product(bv("10"), bv("11"), "x"), ValueError, "unknown basis 'x'"),
         (lambda: make_form("identity", 0), ValueError, "dimension must be >= 1"),
+        (lambda: make_form("identity", True), ValueError, "dimension must be an int, not True"),
+        (lambda: make_form("jw", 2.0), ValueError, "dimension must be an int, not 2.0"),
         (
             lambda: solve_affine(I2, bv("101")),
             ValueError,

@@ -194,6 +194,23 @@ def test_a_dimension_that_is_not_an_int_is_refused(call, dim):
         call(dim)
 
 
+@pytest.mark.parametrize(
+    "call, x",
+    [
+        (lambda x: sample_orthogonal(4, x), 2.0),
+        (lambda x: sample_orthogonal(4, x), True),
+        (lambda x: sample_symplectic(2, x), 1.5),
+        (lambda x: sample_symplectic(2, x, "majorana"), False),
+    ],
+    ids=["o-float", "o-bool", "sp-float", "sp-bool"],
+)
+def test_an_index_that_is_not_an_int_is_refused(call, x):
+    """True == 1, yet it would pick the element at index 1; a float has
+    no bit length to range-check."""
+    with pytest.raises(ValueError, match=f"^index must be an int, not {x!r}$"):
+        call(x)
+
+
 class TestSampleOrthogonal:
     def test_dim_1(self):
         assert sample_orthogonal(1, 1).m == BitMatrix.identity(1)

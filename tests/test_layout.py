@@ -959,3 +959,78 @@ def test_group_check_guard_finds_the_copies(tmp_path):
         (5, "symplectic groups need even dimension"),
         (7, "unknown group kind "),
     ]
+
+
+# a row list carries its length, so no function over one takes its row
+# count: each reads len(rows) itself
+ROW_LIST_FUNCTIONS = {
+    SHARED: {
+        "gather": ["rows", "x"],
+        "rank_one": ["rows", "u", "h"],
+        "product": ["a_rows", "b_rows"],
+        "jw_conjugate": ["rows"],
+    },
+    "group": {"_preserves_form": ["rows", "form"]},
+    "design": {"_exponent": ["rows", "restricted"], "_parity_counts": ["rows"]},
+    "batch": {"_exponents": ["rows", "restricted"]},
+}
+ROW_LIST_NAMES = {name for names in ROW_LIST_FUNCTIONS.values() for name in names}
+
+
+def parameter_names(path, names):
+    """Every parameter name of each module-level function of names."""
+    found = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            args = node.args
+            params = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs
+            found[node.name] = [a.arg for a in params + [args.kwarg] if a]
+    return found
+
+
+def length_arguments(path):
+    """(line, name) of each call of a row-list function, by name or
+    attribute, that passes a len(...) call as an argument."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        args = node.args + [k.value for k in node.keywords]
+        lengths = [a for a in args if isinstance(a, ast.Call) and getattr(a.func, "id", "") == "len"]
+        if name in ROW_LIST_NAMES and lengths:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_row_list_functions_read_their_row_count():
+    for module, signatures in ROW_LIST_FUNCTIONS.items():
+        assert parameter_names(SRC / f"{module}.py", signatures) == signatures
+    offenders = {
+        path.name: length_arguments(path)
+        for path in sorted(SRC.glob("*.py"))
+        if length_arguments(path)
+    }
+    assert offenders == {}
+
+
+def test_row_count_guard_finds_the_counts(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import _bits\n"
+        "def gather(rows, x, n):\n"
+        "    return rank_one(rows, x, x, len(rows))\n"
+        "def product(a_rows, *b_rows, **kw):\n"
+        "    return _bits.product(a_rows, b_rows, n=len(b_rows))\n"
+        "def jw_conjugate(rows):\n"
+        "    return gather(rows[len(rows) - 1 :], 1) ^ rank_one(rows, len)\n"
+        "def rank_one(rows, u, h, *, n):\n"
+        "    return gather(rows, len(rows))\n"
+    )
+    assert parameter_names(probe, ROW_LIST_FUNCTIONS[SHARED]) == {
+        "gather": ["rows", "x", "n"],
+        "product": ["a_rows", "b_rows", "kw"],
+        "jw_conjugate": ["rows"],
+        "rank_one": ["rows", "u", "h", "n"],
+    }
+    assert length_arguments(probe) == [(3, "rank_one"), (5, "product"), (9, "gather")]

@@ -1,6 +1,8 @@
-"""The example scripts run to completion."""
+"""The example scripts run to completion, and the README's library
+example prints what its comments say."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,17 @@ def test_script_exits_zero(argv, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """The python block under "Library example" in README.md, run as it
+    stands: its first three prints show their comments, the last a 4 x 4
+    bit matrix."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert comments[:3] == out[:3] == ["i^1 1010", "i^0 1010", "-1"]
+    assert comments[3:] == ["a 4x4 bit matrix"]
+    assert len(out) == 7 and all(re.fullmatch("[01]{4}", row) for row in out[3:])
